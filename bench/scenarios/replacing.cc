@@ -13,14 +13,10 @@
  * --backend=net to probe the window against the network store model.
  */
 
-#include <memory>
-
 #include "core/controller_params.hh"
 #include "core/oram_controller.hh"
-#include "dram/dram_backend.hh"
-#include "dram/dram_system.hh"
-#include "mem/net_backend.hh"
 #include "scenarios/scenarios.hh"
+#include "sim/backend_stack.hh"
 #include "util/random.hh"
 
 namespace fp::bench
@@ -56,8 +52,11 @@ registerReplacingScenario()
             ctx.spec.paramUint("label-queue", 8));
         params.cachePolicy = core::CachePolicy::none;
 
-        const sim::BackendKind backend_kind = ctx.base.backendKind;
-        const mem::NetBackendParams net = ctx.base.net;
+        // The probe talks to the bare store: the default DRAM part or
+        // the configured net model, with no fault or retry layer.
+        sim::SimConfig store;
+        store.backendKind = ctx.base.backendKind;
+        store.net = ctx.base.net;
 
         TextTable table("replacement probability vs arrival offset");
         table.setHeader({"offset_after_prev_done_ns", "replaced_frac",
@@ -76,28 +75,15 @@ registerReplacingScenario()
             const Tick offset_ns = offsets[band];
             tasks.push_back(
                 {"offset=" + std::to_string(offset_ns) + "ns",
-                 [&rows, &params, backend_kind, net, band, offset_ns,
-                  trials] {
+                 [&rows, &params, &store, band, offset_ns, trials] {
                 unsigned replaced = 0;
                 double latency_sum = 0.0;
                 for (unsigned t = 0; t < trials; ++t) {
                     EventQueue eq;
-                    std::unique_ptr<dram::DramSystem> dram_sys;
-                    std::unique_ptr<mem::MemoryBackend> backend;
-                    if (backend_kind == sim::BackendKind::dram) {
-                        dram_sys =
-                            std::make_unique<dram::DramSystem>(
-                                sim::SimConfig::defaultDram(), eq);
-                        backend =
-                            std::make_unique<dram::DramBackend>(
-                                *dram_sys);
-                    } else {
-                        backend = std::make_unique<mem::NetBackend>(
-                            net, eq);
-                    }
+                    sim::BackendStack mem(store, eq);
                     auto p = params;
                     p.oram.seed += t * 7919;
-                    core::OramController ctrl(p, eq, *backend);
+                    core::OramController ctrl(p, eq, mem.top());
                     Rng rng(t * 31 + offset_ns);
 
                     // Prime: one access whose refill commits a

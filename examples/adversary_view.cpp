@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "core/oram_controller.hh"
-#include "dram/dram_system.hh"
+#include "sim/backend_stack.hh"
 #include "util/random.hh"
 
 namespace
@@ -53,12 +53,11 @@ demoParams(bool integrity = false)
 struct Rig
 {
     fp::EventQueue eq;
-    fp::dram::DramSystem dram;
+    fp::sim::BackendStack mem; // the default DDR3-1600 x2 part
     fp::core::OramController ctrl;
 
     explicit Rig(const fp::core::ControllerParams &p)
-        : dram(fp::dram::DramParams::ddr3_1600(2), eq),
-          ctrl(p, eq, dram)
+        : mem(fp::sim::SimConfig{}, eq), ctrl(p, eq, mem.top())
     {
         ctrl.setRevealTraceEnabled(true);
     }

@@ -20,6 +20,7 @@
 #include <iostream>
 #include <string>
 
+#include "sim/backend_stack.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
 #include "util/cli.hh"
@@ -80,8 +81,9 @@ main(int argc, char **argv)
                     queue, leaf);
 
         fp::EventQueue eq;
-        fp::dram::DramSystem dram(cfg.dram, eq);
-        fp::core::OramController ctrl(cfg.controller, eq, dram);
+        fp::sim::BackendStack mem(cfg, eq);
+        fp::dram::DramSystem &dram = *mem.dram();
+        fp::core::OramController ctrl(cfg.controller, eq, mem.top());
         std::size_t issued = 0, done = 0;
         unsigned outstanding = 0;
         fp::Average latency;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/overlap.hh"
-#include "dram/dram_backend.hh"
 #include "obs/request_profiler.hh"
 #include "util/debug.hh"
 #include "util/logging.hh"
@@ -21,23 +20,7 @@ OramController::checked(const ControllerParams &p)
 OramController::OramController(const ControllerParams &params,
                                EventQueue &eq,
                                mem::MemoryBackend &backend)
-    : OramController(params, eq, &backend, nullptr)
-{
-}
-
-OramController::OramController(const ControllerParams &params,
-                               EventQueue &eq, dram::DramSystem &dram)
-    : OramController(params, eq, nullptr,
-                     std::make_unique<dram::DramBackend>(dram))
-{
-}
-
-OramController::OramController(
-    const ControllerParams &params, EventQueue &eq,
-    mem::MemoryBackend *ext,
-    std::unique_ptr<mem::MemoryBackend> owned)
-    : ownedMem_(std::move(owned)), params_(checked(params)), eq_(eq),
-      mem_(ext ? *ext : *ownedMem_),
+    : params_(checked(params)), eq_(eq), mem_(backend),
       geo_(params.oram.geometry()),
       posMap_(geo_, params.oram.seed ^ 0xa11ce),
       stash_(geo_, params.oram.stashCapacity),

@@ -70,11 +70,6 @@
 #include "util/event_queue.hh"
 #include "util/stats.hh"
 
-namespace fp::dram
-{
-class DramSystem;
-} // namespace fp::dram
-
 namespace fp::obs
 {
 class RequestProfiler;
@@ -103,10 +98,6 @@ class OramController
      *  every production configuration uses). */
     OramController(const ControllerParams &params, EventQueue &eq,
                    mem::MemoryBackend &backend);
-    /** Convenience: wrap @p dram in an owned DramBackend adapter —
-     *  cycle-identical to driving the DramSystem directly. */
-    OramController(const ControllerParams &params, EventQueue &eq,
-                   dram::DramSystem &dram);
     ~OramController();
 
     /** True if a new LLC request can be accepted right now. */
@@ -314,12 +305,6 @@ class OramController
         writeParked,
     };
 
-    /** Delegation target of both public constructors: exactly one of
-     *  @p ext / @p owned is set. */
-    OramController(const ControllerParams &params, EventQueue &eq,
-                   mem::MemoryBackend *ext,
-                   std::unique_ptr<mem::MemoryBackend> owned);
-
     /** fp_fatal on invalid params, pass through otherwise. */
     static const ControllerParams &checked(const ControllerParams &p);
 
@@ -338,10 +323,6 @@ class OramController
     void startWrite();
     /** Stage boundary: the WritebackEngine finished the refill. */
     void onWriteDone();
-
-    /** Set only by the DramSystem convenience constructor; must
-     *  precede mem_ so the reference binds to a live object. */
-    std::unique_ptr<mem::MemoryBackend> ownedMem_;
 
     ControllerParams params_;
     EventQueue &eq_;

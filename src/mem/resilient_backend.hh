@@ -49,7 +49,7 @@ namespace fp::mem
 struct RetryParams
 {
     /** Per-attempt completion deadline, microseconds. Zero disables
-     *  the whole layer (the System then builds no ResilientBackend);
+     *  the whole layer (sim::BackendStack then builds none);
      *  it must comfortably exceed the store's worst-case latency or
      *  slow successes will be double-issued. */
     double timeoutUs = 0.0;

@@ -28,6 +28,8 @@ void
 specFail(const SpecSource &src, const JsonValue &node,
          const std::string &msg)
 {
+    if (src.text.empty()) // a value from the command line
+        fp_fatal("%s: %s", src.path.c_str(), msg.c_str());
     fp_fatal("experiment spec %s:%zu: %s", src.path.c_str(),
              jsonLineOf(src.text, node.sourceOffset()), msg.c_str());
 }
@@ -685,12 +687,17 @@ ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
     base = SimConfig::paperDefault();
     applySpecOverrides(base, spec.base, spec.source, spec.params);
 
-    base.requestsPerCore = static_cast<std::uint64_t>(args.getInt(
-        "requests",
-        static_cast<std::int64_t>(base.requestsPerCore)));
-    base.controller.oram.leafLevel =
-        static_cast<unsigned>(args.getInt(
-            "leaf-level", base.controller.oram.leafLevel));
+    // Range-checked by the override table, like a spec's "requests"
+    // and "leaf-level" keys.
+    const SpecSource cli_source{"command line", "", 0};
+    for (const char *key : {"requests", "leaf-level"}) {
+        if (args.has(key)) {
+            const JsonValue value =
+                JsonValue::parse(std::to_string(args.getInt(key, 0)));
+            applySpecOverride(base, SpecOverride{key, value},
+                              cli_source);
+        }
+    }
     if (args.getBool("quick")) {
         base.requestsPerCore = 150;
         base.controller.oram.leafLevel = 14;

@@ -59,7 +59,8 @@ std::uint64_t specHash(const std::string &text);
 
 /**
  * Fatal spec error pointing at @p node's line in the spec file:
- * "experiment spec PATH:LINE: MSG". Exits with status 1 (throws
+ * "experiment spec PATH:LINE: MSG", or "PATH: MSG" for a source with
+ * no text (a command-line value). Exits with status 1 (throws
  * SimFailure under ScopedRecoverableFailures, like every fp_fatal).
  */
 [[noreturn]] void specFail(const SpecSource &src, const JsonValue &node,

@@ -237,22 +237,6 @@ applyFaultFlags(SimConfig &cfg, const CliArgs &args)
     }
 }
 
-void
-applyPolicyFlags(SimConfig &cfg, const CliArgs &args)
-{
-    if (args.has("policy")) {
-        cfg = withPolicyName(std::move(cfg),
-                             args.getString("policy", ""));
-    }
-    const std::int64_t batch = args.getInt(
-        "batch-size",
-        static_cast<std::int64_t>(cfg.controller.batchSize));
-    if (batch < 1)
-        fp_fatal("--batch-size must be at least 1 (got %lld)",
-                 static_cast<long long>(batch));
-    cfg.controller.batchSize = static_cast<unsigned>(batch);
-}
-
 SimConfig
 withPolicy(SimConfig cfg, core::PolicyKind kind)
 {

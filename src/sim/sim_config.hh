@@ -113,9 +113,10 @@ struct SimConfig
     mem::FaultParams faults;
     /**
      * Retry policy above the fault model. timeoutUs == 0 (default)
-     * leaves the choice to the System: it picks a backend-appropriate
-     * deadline when faults are enabled, and builds no resilient layer
-     * otherwise. A non-zero value forces the layer on, faults or not.
+     * leaves the choice to sim::BackendStack: it picks a
+     * backend-appropriate deadline when faults are enabled, and builds
+     * no resilient layer otherwise. A non-zero value forces the layer
+     * on, faults or not.
      */
     mem::RetryParams retry;
 
@@ -208,22 +209,6 @@ void applyBackendFlags(SimConfig &cfg, const CliArgs &args);
  * are fatal with a CLI-facing message.
  */
 void applyFaultFlags(SimConfig &cfg, const CliArgs &args);
-
-/**
- * Apply the scheduling-policy flags to @p cfg:
- *
- *   --policy=NAME        access policy from the core registry
- *                        ("traditional", "forkpath", "batched");
- *                        applies the policy's canonical preset via
- *                        core::applyPolicyPreset, keeping the ORAM
- *                        geometry and timing knobs
- *   --batch-size=N       admission batch of the batched policy (8)
- *
- * Unknown names and non-positive batch sizes are fatal. Absent flags
- * leave @p cfg's controller untouched, so default invocations stay
- * byte-identical to historical output.
- */
-void applyPolicyFlags(SimConfig &cfg, const CliArgs &args);
 
 /** Select a scheduling policy by kind (core registry preset). */
 SimConfig withPolicy(SimConfig cfg, core::PolicyKind kind);

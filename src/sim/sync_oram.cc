@@ -2,12 +2,39 @@
 
 #include <cstdio>
 
-#include "dram/dram_backend.hh"
-#include "sim/sim_config.hh"
 #include "util/logging.hh"
 
 namespace fp::sim
 {
+
+namespace
+{
+
+/** A SimConfig whose memory-stack fields describe a DRAM store. */
+SimConfig
+dramStack(const dram::DramParams &dram)
+{
+    SimConfig cfg;
+    cfg.dram = dram;
+    return cfg;
+}
+
+/** A SimConfig whose memory-stack fields describe a net store, with
+ *  optional fault and retry layers. */
+SimConfig
+netStack(const mem::NetBackendParams &net,
+         const mem::FaultParams &faults = {},
+         const mem::RetryParams &retry = {})
+{
+    SimConfig cfg;
+    cfg.backendKind = BackendKind::net;
+    cfg.net = net;
+    cfg.faults = faults;
+    cfg.retry = retry;
+    return cfg;
+}
+
+} // namespace
 
 SyncOram::SyncOram(core::ControllerParams controller)
     : SyncOram(std::move(controller), SimConfig::defaultDram())
@@ -16,63 +43,32 @@ SyncOram::SyncOram(core::ControllerParams controller)
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    dram::DramParams dram)
-    : SyncOram(std::move(controller), &dram, nullptr)
+    : SyncOram(std::move(controller), dramStack(dram))
 {
 }
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    mem::NetBackendParams net)
-    : SyncOram(std::move(controller), nullptr, &net)
+    : SyncOram(std::move(controller), netStack(net))
 {
 }
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    mem::NetBackendParams net, mem::FaultParams faults,
                    mem::RetryParams retry)
-    : SyncOram(std::move(controller), nullptr, &net, &faults, &retry)
+    : SyncOram(std::move(controller), netStack(net, faults, retry))
 {
 }
 
 SyncOram::SyncOram(core::ControllerParams controller,
-                   const dram::DramParams *dram,
-                   const mem::NetBackendParams *net,
-                   const mem::FaultParams *faults,
-                   const mem::RetryParams *retry)
+                   const SimConfig &memory)
+    : eq_(std::make_unique<EventQueue>()),
+      stack_(std::make_unique<BackendStack>(memory, *eq_))
 {
     fp_assert(controller.oram.payloadBytes > 0,
               "SyncOram needs a non-zero payload size");
-    eq_ = std::make_unique<EventQueue>();
-    if (dram) {
-        dram_ = std::make_unique<dram::DramSystem>(*dram, *eq_);
-        backend_ = std::make_unique<dram::DramBackend>(*dram_);
-    } else {
-        backend_ = std::make_unique<mem::NetBackend>(*net, *eq_);
-    }
-
-    mem::MemoryBackend *top = backend_.get();
-    if (faults && faults->enabled()) {
-        injector_ =
-            std::make_unique<mem::FaultInjector>(*faults, *eq_, *top);
-        top = injector_.get();
-    }
-    if (injector_ || (retry && retry->enabled())) {
-        mem::RetryParams rp = retry ? *retry : mem::RetryParams{};
-        if (!rp.enabled()) {
-            // Same default the System uses: well past the net
-            // model's round trip so slow successes are not
-            // double-issued.
-            rp.timeoutUs = net ? std::max(10.0 * 2.0 *
-                                              net->oneWayLatencyUs,
-                                          1000.0)
-                               : 100.0;
-        }
-        resilient_ =
-            std::make_unique<mem::ResilientBackend>(rp, *eq_, *top);
-        top = resilient_.get();
-    }
-
     ctrl_ = std::make_unique<core::OramController>(controller, *eq_,
-                                                   *top);
+                                                   stack_->top());
 }
 
 SyncOram::~SyncOram() = default;
@@ -190,15 +186,15 @@ SyncOram::printStats() const
                 c.avgDramBucketsRead());
     std::printf("avg request latency:   %.1f ns\n",
                 c.oramLatency().mean());
-    if (dram_) {
+    if (const dram::DramSystem *dram = stack_->dram()) {
         std::printf(
             "dram row hits/misses:  %llu / %llu\n",
-            static_cast<unsigned long long>(dram_->rowHits()),
-            static_cast<unsigned long long>(dram_->rowMisses()));
+            static_cast<unsigned long long>(dram->rowHits()),
+            static_cast<unsigned long long>(dram->rowMisses()));
     } else {
-        const mem::BackendStats bs = backend_->statsSnapshot();
+        const mem::BackendStats bs = stack_->base().statsSnapshot();
         std::printf("%s bursts (r/w):     %llu / %llu\n",
-                    backend_->kind(),
+                    stack_->base().kind(),
                     static_cast<unsigned long long>(bs.readBursts),
                     static_cast<unsigned long long>(bs.writeBursts));
     }

@@ -1,10 +1,11 @@
 /**
  * @file
  * SyncOram: the batteries-included synchronous front door to the
- * library. It owns an event queue, a DDR3 model and a Fork Path ORAM
- * controller, and exposes a plain blocking read/write interface in
- * block units — what an application embedding the ORAM (rather than
- * running experiments) wants.
+ * library. It owns an event queue, a memory stack (sim::BackendStack:
+ * a DDR3 model by default) and a Fork Path ORAM controller, and
+ * exposes a plain blocking read/write interface in block units — what
+ * an application embedding the ORAM (rather than running
+ * experiments) wants.
  *
  * Every call advances the internal simulation until the request
  * retires, so timing statistics (simulated nanoseconds, DRAM traffic,
@@ -20,11 +21,11 @@
 #include <vector>
 
 #include "core/oram_controller.hh"
-#include "dram/dram_system.hh"
 #include "mem/backend.hh"
 #include "mem/fault_injector.hh"
 #include "mem/net_backend.hh"
 #include "mem/resilient_backend.hh"
+#include "sim/backend_stack.hh"
 #include "util/event_queue.hh"
 
 namespace fp::sim
@@ -90,35 +91,22 @@ class SyncOram
 
     core::OramController &controller() { return *ctrl_; }
     /** The base store (below any fault/retry decorators). */
-    mem::MemoryBackend &backend() { return *backend_; }
-    /** Null unless the fault-injecting constructor was used. */
-    mem::FaultInjector *faultInjector() { return injector_.get(); }
-    mem::ResilientBackend *resilientBackend()
-    {
-        return resilient_.get();
-    }
-    /** The DRAM timing model; null for non-DRAM backends. */
-    dram::DramSystem *dram() { return dram_.get(); }
+    mem::MemoryBackend &backend() { return stack_->base(); }
+    /** The whole memory stack: base store, DRAM model (null off
+     *  DRAM), fault injector and retry layer (null unless the
+     *  fault-injecting constructor built them). */
+    BackendStack &stack() { return *stack_; }
 
     /** Print a human-readable stats summary to stdout. */
     void printStats() const;
 
   private:
-    /** Delegation target; exactly one of @p dram / @p net is set,
-     *  @p faults / @p retry are optional decorator configs. */
-    SyncOram(core::ControllerParams controller,
-             const dram::DramParams *dram,
-             const mem::NetBackendParams *net,
-             const mem::FaultParams *faults = nullptr,
-             const mem::RetryParams *retry = nullptr);
+    /** Delegation target: @p memory's backend, dram, net, faults
+     *  and retry fields describe the stack. */
+    SyncOram(core::ControllerParams controller, const SimConfig &memory);
 
     std::unique_ptr<EventQueue> eq_;
-    /** Set only for DRAM-backed stores (feeds the row-hit line). */
-    std::unique_ptr<dram::DramSystem> dram_;
-    std::unique_ptr<mem::MemoryBackend> backend_;
-    /** Optional resilience stack (fault-injecting constructor). */
-    std::unique_ptr<mem::FaultInjector> injector_;
-    std::unique_ptr<mem::ResilientBackend> resilient_;
+    std::unique_ptr<BackendStack> stack_;
     std::unique_ptr<core::OramController> ctrl_;
 };
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
-#include <ostream>
+#include <optional>
 
-#include "dram/dram_backend.hh"
-#include "mem/net_backend.hh"
 #include "util/bitops.hh"
 #include "util/debug.hh"
 #include "util/logging.hh"
@@ -141,25 +139,80 @@ System::System(const SimConfig &cfg,
             cfg_.obs.statsOut, cfg_.obs.statsIntervalTicks,
             registry_);
     }
-    if (cfg_.obs.profilingEnabled() && !cfg_.insecure &&
-        cfg_.shards <= 1) {
+    if (cfg_.insecure && cfg_.shards > 1)
+        fp_fatal("--shards requires the ORAM path: the insecure "
+                 "baseline has no controller to shard");
+
+    // One memory stack per shard. A single stack (shards == 1) is the
+    // classic unsharded system: no "s<N>." stat prefix, the root
+    // tracer itself, and the configured fault seed as-is.
+    const bool sharded = cfg_.shards > 1;
+    stacks_.resize(cfg_.shards);
+    for (unsigned s = 0; s < cfg_.shards; ++s) {
+        StackParts &sp = stacks_[s];
+        const std::string prefix =
+            sharded ? "s" + std::to_string(s) + "." : "";
+        // Every StatGroup this shard's stack constructs gets the
+        // "s<N>." name prefix (the dispatcher prefixes its controller
+        // stacks the same way), keeping interval-stats keys unique.
+        StatNameScope scope(prefix);
+
+        sp.tracer = tracer_.get();
+        if (tracer_ && sharded) {
+            // Same trace file; tracks land at tid 32 * shard + base
+            // with "s<N>."-prefixed names ("s1.controller", ...).
+            sp.tracerView = tracer_->makeView(32 * s, prefix);
+            sp.tracer = sp.tracerView.get();
+        }
         // The profiler tracks ORAM pipeline milestones, so insecure
         // runs (no controller) have nothing for it to measure.
-        // Sharded runs carry one profiler per shard instead (rolled
-        // up into the RunResult after the run).
-        profiler_ = std::make_unique<obs::RequestProfiler>(
-            eq_.nowPtr(), cfg_.controller.bucketBytes());
-        if (tracer_)
-            profiler_->setTracer(tracer_.get());
+        if (cfg_.obs.profilingEnabled() && !cfg_.insecure) {
+            sp.profiler = std::make_unique<obs::RequestProfiler>(
+                eq_.nowPtr(), cfg_.controller.bucketBytes());
+            if (sp.tracer)
+                sp.profiler->setTracer(sp.tracer);
+        }
+
+        // Each shard owns a complete store with its own fault and
+        // retry layers. Shards derive their fault seeds so they do
+        // not replay one another's fault decisions in lockstep.
+        SimConfig stack_cfg = cfg_;
+        if (sharded) {
+            stack_cfg.faults.seed = core::ShardedOram::shardSeed(
+                cfg_.faults.seed ^ 0xf417ULL, s);
+        }
+        sp.mem = std::make_unique<BackendStack>(
+            stack_cfg, eq_, sp.tracer, sp.profiler.get());
     }
 
-    if (cfg_.shards > 1) {
-        if (cfg_.insecure)
-            fp_fatal("--shards requires the ORAM path: the insecure "
-                     "baseline has no controller to shard");
-        buildSharded();
+    if (cfg_.insecure) {
+        // The insecure baseline's MSHR-equivalent depth scales with
+        // the core count (per-core maxOutstanding each): 64 at the
+        // Table-1 default of 16 outstanding x 4 cores.
+        sink_ = std::make_unique<InsecureSink>(
+            stacks_[0].mem->top(), cfg_.controller.blockPhysBytes,
+            std::size_t{cfg_.maxOutstanding} * cfg_.cores);
+    } else if (sharded) {
+        std::vector<mem::MemoryBackend *> tops;
+        for (const StackParts &sp : stacks_)
+            tops.push_back(&sp.mem->top());
+        core::ShardedOramParams sop;
+        sop.shards = cfg_.shards;
+        sop.shardWindow = cfg_.shardWindow;
+        sharded_ = std::make_unique<core::ShardedOram>(
+            sop, cfg_.controller, eq_, tops);
+        sink_ = std::make_unique<ShardedSink>(*sharded_);
     } else {
-        buildSingle();
+        ctrl_ = std::make_unique<core::OramController>(
+            cfg_.controller, eq_, stacks_[0].mem->top());
+        sink_ = std::make_unique<OramSink>(*ctrl_);
+    }
+    // Each controller reports to its own stack's tracer and profiler.
+    for (unsigned s = 0; !cfg_.insecure && s < cfg_.shards; ++s) {
+        if (stacks_[s].tracer)
+            controllerOf(s).setTracer(stacks_[s].tracer);
+        if (stacks_[s].profiler)
+            controllerOf(s).setProfiler(stacks_[s].profiler.get());
     }
 
     // Disjoint per-core address regions (shared for PARSEC mode),
@@ -188,196 +241,20 @@ System::~System()
     clearDebugTickSource(eq_.nowPtr());
 }
 
-void
-System::buildSingle()
+core::OramController &
+System::controllerOf(unsigned s) const
 {
-    if (cfg_.backendKind == BackendKind::dram) {
-        dram_ = std::make_unique<dram::DramSystem>(cfg_.dram, eq_);
-        backend_ = std::make_unique<dram::DramBackend>(*dram_);
-    } else {
-        backend_ = std::make_unique<mem::NetBackend>(cfg_.net, eq_);
-    }
-
-    // Optional resilience stack: store <- injector <- retry layer.
-    topBackend_ = backend_.get();
-    if (cfg_.faults.enabled()) {
-        injector_ = std::make_unique<mem::FaultInjector>(
-            cfg_.faults, eq_, *topBackend_);
-        topBackend_ = injector_.get();
-        // Injecting faults without a retry policy would wedge the run
-        // on the first lost request; pick a deadline comfortably
-        // above the store's worst case unless the user chose one.
-        if (!cfg_.retry.enabled()) {
-            cfg_.retry.timeoutUs =
-                cfg_.backendKind == BackendKind::net
-                    ? std::max(10.0 * 2.0 * cfg_.net.oneWayLatencyUs,
-                               1000.0)
-                    : 100.0;
-        }
-    }
-    if (cfg_.retry.enabled()) {
-        resilient_ = std::make_unique<mem::ResilientBackend>(
-            cfg_.retry, eq_, *topBackend_);
-        topBackend_ = resilient_.get();
-    }
-    if (tracer_)
-        topBackend_->setTracer(tracer_.get());
-    if (profiler_)
-        topBackend_->setProfiler(profiler_.get());
-
-    if (cfg_.insecure) {
-        // The insecure baseline's MSHR-equivalent depth scales with
-        // the core count (per-core maxOutstanding each): 64 at the
-        // Table-1 default of 16 outstanding x 4 cores.
-        sink_ = std::make_unique<InsecureSink>(
-            *topBackend_, cfg_.controller.blockPhysBytes,
-            std::size_t{cfg_.maxOutstanding} * cfg_.cores);
-    } else {
-        ctrl_ = std::make_unique<core::OramController>(
-            cfg_.controller, eq_, *topBackend_);
-        if (tracer_)
-            ctrl_->setTracer(tracer_.get());
-        if (profiler_)
-            ctrl_->setProfiler(profiler_.get());
-        sink_ = std::make_unique<OramSink>(*ctrl_);
-    }
-}
-
-void
-System::buildSharded()
-{
-    // The auto retry deadline is shared by every shard (each shard's
-    // store has the same worst case), so pick it once up front, as
-    // the single path does.
-    if (cfg_.faults.enabled() && !cfg_.retry.enabled()) {
-        cfg_.retry.timeoutUs =
-            cfg_.backendKind == BackendKind::net
-                ? std::max(10.0 * 2.0 * cfg_.net.oneWayLatencyUs,
-                           1000.0)
-                : 100.0;
-    }
-
-    shardParts_.resize(cfg_.shards);
-    std::vector<mem::MemoryBackend *> tops;
-    tops.reserve(cfg_.shards);
-    for (unsigned s = 0; s < cfg_.shards; ++s) {
-        ShardParts &sp = shardParts_[s];
-        const std::string prefix = "s" + std::to_string(s) + ".";
-        // Every StatGroup this shard's stack constructs gets the
-        // "s<N>." name prefix (the dispatcher prefixes its controller
-        // stacks the same way), keeping interval-stats keys unique.
-        StatNameScope scope(prefix);
-
-        if (tracer_) {
-            // Same trace file; tracks land at tid 32 * shard + base
-            // with "s<N>."-prefixed names ("s1.controller", ...).
-            sp.tracerView = tracer_->makeView(32 * s, prefix);
-        }
-        if (cfg_.obs.profilingEnabled()) {
-            sp.profiler = std::make_unique<obs::RequestProfiler>(
-                eq_.nowPtr(), cfg_.controller.bucketBytes());
-            if (sp.tracerView)
-                sp.profiler->setTracer(sp.tracerView.get());
-        }
-
-        // Each shard owns a complete store: its own DRAM channels or
-        // its own network pipe. Decorators stack per shard so faults
-        // and retries are independent across shards too.
-        if (cfg_.backendKind == BackendKind::dram) {
-            sp.dram =
-                std::make_unique<dram::DramSystem>(cfg_.dram, eq_);
-            sp.backend = std::make_unique<dram::DramBackend>(*sp.dram);
-        } else {
-            sp.backend =
-                std::make_unique<mem::NetBackend>(cfg_.net, eq_);
-        }
-        sp.top = sp.backend.get();
-        if (cfg_.faults.enabled()) {
-            // Derived per-shard fault seed: shards must not replay
-            // one another's fault decisions in lockstep.
-            mem::FaultParams fparams = cfg_.faults;
-            fparams.seed = core::ShardedOram::shardSeed(
-                cfg_.faults.seed ^ 0xf417ULL, s);
-            sp.injector = std::make_unique<mem::FaultInjector>(
-                fparams, eq_, *sp.top);
-            sp.top = sp.injector.get();
-        }
-        if (cfg_.retry.enabled()) {
-            sp.resilient = std::make_unique<mem::ResilientBackend>(
-                cfg_.retry, eq_, *sp.top);
-            sp.top = sp.resilient.get();
-        }
-        if (sp.tracerView)
-            sp.top->setTracer(sp.tracerView.get());
-        if (sp.profiler)
-            sp.top->setProfiler(sp.profiler.get());
-        tops.push_back(sp.top);
-    }
-
-    core::ShardedOramParams sop;
-    sop.shards = cfg_.shards;
-    sop.shardWindow = cfg_.shardWindow;
-    sharded_ = std::make_unique<core::ShardedOram>(
-        sop, cfg_.controller, eq_, tops);
-    for (unsigned s = 0; s < cfg_.shards; ++s) {
-        if (shardParts_[s].tracerView)
-            sharded_->shard(s).setTracer(
-                shardParts_[s].tracerView.get());
-        if (shardParts_[s].profiler)
-            sharded_->shard(s).setProfiler(
-                shardParts_[s].profiler.get());
-    }
-    sink_ = std::make_unique<ShardedSink>(*sharded_);
-}
-
-void
-System::printStats(std::ostream &os)
-{
-    if (ctrl_) {
-        ctrl_->stats().print(os);
-        ctrl_->store().stats().print(os);
-    }
-    if (sharded_) {
-        sharded_->stats().print(os);
-        for (unsigned s = 0; s < sharded_->numShards(); ++s) {
-            sharded_->shard(s).stats().print(os);
-            sharded_->shard(s).store().stats().print(os);
-            ShardParts &sp = shardParts_[s];
-            if (sp.dram) {
-                for (unsigned c = 0; c < sp.dram->numChannels(); ++c)
-                    sp.dram->channel(c).stats().print(os);
-            } else if (auto *net = dynamic_cast<mem::NetBackend *>(
-                           sp.backend.get())) {
-                net->stats().print(os);
-            }
-            if (sp.injector)
-                sp.injector->stats().print(os);
-            if (sp.resilient)
-                sp.resilient->stats().print(os);
-        }
-    }
-    if (dram_) {
-        for (unsigned c = 0; c < dram_->numChannels(); ++c)
-            dram_->channel(c).stats().print(os);
-    } else if (auto *net =
-                   dynamic_cast<mem::NetBackend *>(backend_.get())) {
-        net->stats().print(os);
-    }
-    if (injector_)
-        injector_->stats().print(os);
-    if (resilient_)
-        resilient_->stats().print(os);
+    return sharded_ ? sharded_->shard(s) : *ctrl_;
 }
 
 bool
 System::resilienceConfigured() const
 {
-    if (injector_ || resilient_)
-        return true;
-    for (const ShardParts &sp : shardParts_)
-        if (sp.injector || sp.resilient)
-            return true;
-    return false;
+    return std::any_of(stacks_.begin(), stacks_.end(),
+                       [](const StackParts &sp) {
+                           return sp.mem->injector() ||
+                                  sp.mem->resilient();
+                       });
 }
 
 bool
@@ -450,41 +327,16 @@ System::run(Tick limit)
         r.executionTicks = std::max(r.executionTicks, eq_.now());
     }
 
-    if (ctrl_) {
-        r.avgLlcLatencyNs = ctrl_->oramLatency().mean();
-        r.avgReadPathLen = ctrl_->avgReadPathLength();
-        r.avgDramBucketsRead = ctrl_->avgDramBucketsRead();
-        r.avgDramServiceNs = ctrl_->avgDramServiceNs();
-        r.realAccesses = ctrl_->realAccesses();
-        r.dummyAccesses = ctrl_->dummyAccessesRun();
-        r.dummyReplacements = ctrl_->dummyReplacements();
-        r.pendingSwaps = ctrl_->pendingSwaps();
-        r.mergedLevelsSkipped = ctrl_->mergedLevelsSkipped();
-        r.mergeSkipsPerLevel = ctrl_->mergeSkipsPerLevel();
-        r.stashShortcuts = ctrl_->stashShortcuts();
-        r.stashPeak = ctrl_->stash().peakSize();
-        r.stashOverflows = ctrl_->stash().overflowEvents();
-        r.controllerEnergyNj = controllerEnergyNj(*ctrl_, eq_.now());
-        if (auto *mac = ctrl_->mac()) {
-            r.cacheHits = mac->hits();
-            r.cacheMisses = mac->misses();
-        } else {
-            r.cacheHits = ctrl_->onChipBucketReads();
-        }
-    } else if (sharded_) {
-        // Cross-shard aggregation. Histograms and Averages merge (so
-        // means weight shards by how many accesses each served),
-        // counters sum, the stash peak is the worst shard's.
-        r.shards = sharded_->numShards();
-        r.shardWindow = cfg_.shardWindow;
-        r.shardWindowRejects = sharded_->windowRejects();
-        r.shardBusyRejects = sharded_->busyRejects();
-
-        fp::Histogram latency = sharded_->shard(0).oramLatency();
+    if (ctrl_ || sharded_) {
+        // Aggregation over the controllers. Histograms and Averages
+        // merge (so means weight shards by how many accesses each
+        // served), counters sum, the stash peak is the worst shard's.
+        // With one controller every merge and sum is exact.
+        fp::Histogram latency = controllerOf(0).oramLatency();
         fp::Average read_len, dram_read_len, dram_service;
         std::vector<std::uint64_t> skips;
-        for (unsigned s = 0; s < r.shards; ++s) {
-            const core::OramController &sc = sharded_->shard(s);
+        for (unsigned s = 0; s < numStacks(); ++s) {
+            core::OramController &sc = controllerOf(s);
             if (s > 0)
                 latency.merge(sc.oramLatency());
             read_len.merge(sc.readPathLengthStat());
@@ -504,24 +356,15 @@ System::run(Tick limit)
             for (std::size_t l = 0; l < per_level.size(); ++l)
                 skips[l] += per_level[l];
 
-            core::OramController &scm = sharded_->shard(s);
-            r.stashPeak =
-                std::max(r.stashPeak, scm.stash().peakSize());
-            r.stashOverflows += scm.stash().overflowEvents();
-            r.controllerEnergyNj +=
-                controllerEnergyNj(sc, eq_.now());
-            if (auto *mac = scm.mac()) {
+            r.stashPeak = std::max(r.stashPeak, sc.stash().peakSize());
+            r.stashOverflows += sc.stash().overflowEvents();
+            r.controllerEnergyNj += controllerEnergyNj(sc, eq_.now());
+            if (auto *mac = sc.mac()) {
                 r.cacheHits += mac->hits();
                 r.cacheMisses += mac->misses();
             } else {
                 r.cacheHits += sc.onChipBucketReads();
             }
-
-            r.shardDispatched.push_back(sharded_->dispatched(s));
-            r.shardRealAccesses.push_back(sc.realAccesses());
-            r.shardDummyAccesses.push_back(sc.dummyAccessesRun());
-            r.shardAvgLlcLatencyNs.push_back(
-                sc.oramLatency().mean());
         }
         r.avgLlcLatencyNs = latency.mean();
         r.avgReadPathLen = read_len.mean();
@@ -540,120 +383,96 @@ System::run(Tick limit)
         r.avgLlcLatencyNs = n ? sum / static_cast<double>(n) : 0.0;
     }
 
-    if (dram_) {
-        r.rowHits = dram_->rowHits();
-        r.rowMisses = dram_->rowMisses();
-        r.dramEnergyNj = dram_->energy(eq_.now()).total();
-    }
-    for (const ShardParts &sp : shardParts_) {
-        if (sp.dram) {
-            r.rowHits += sp.dram->rowHits();
-            r.rowMisses += sp.dram->rowMisses();
-            r.dramEnergyNj += sp.dram->energy(eq_.now()).total();
+    if (sharded_) {
+        r.shards = sharded_->numShards();
+        r.shardWindow = cfg_.shardWindow;
+        r.shardWindowRejects = sharded_->windowRejects();
+        r.shardBusyRejects = sharded_->busyRejects();
+        for (unsigned s = 0; s < r.shards; ++s) {
+            const core::OramController &sc = sharded_->shard(s);
+            r.shardDispatched.push_back(sharded_->dispatched(s));
+            r.shardRealAccesses.push_back(sc.realAccesses());
+            r.shardDummyAccesses.push_back(sc.dummyAccessesRun());
+            r.shardAvgLlcLatencyNs.push_back(sc.oramLatency().mean());
         }
-    }
-    r.faultsEnabled = injector_ != nullptr;
-    r.retryEnabled = resilient_ != nullptr;
-    if (injector_) {
-        r.faultLossInjected = injector_->lossInjected();
-        r.faultErrorInjected = injector_->errorInjected();
-        r.faultSpikeInjected = injector_->spikeInjected();
-        r.faultOutageDropped = injector_->outageDropped();
-    }
-    if (resilient_) {
-        r.retryAttempts = resilient_->retries();
-        r.retryTimeouts = resilient_->timeouts();
-        r.retryDedupDropped = resilient_->dedupDropped();
-        r.retryExhausted = resilient_->exhausted();
-        r.retryMaxAttempts = resilient_->maxAttempts();
-    }
-    for (const ShardParts &sp : shardParts_) {
-        if (sp.injector) {
-            r.faultsEnabled = true;
-            r.faultLossInjected += sp.injector->lossInjected();
-            r.faultErrorInjected += sp.injector->errorInjected();
-            r.faultSpikeInjected += sp.injector->spikeInjected();
-            r.faultOutageDropped += sp.injector->outageDropped();
-        }
-        if (sp.resilient) {
-            r.retryEnabled = true;
-            r.retryAttempts += sp.resilient->retries();
-            r.retryTimeouts += sp.resilient->timeouts();
-            r.retryDedupDropped += sp.resilient->dedupDropped();
-            r.retryExhausted += sp.resilient->exhausted();
-            r.retryMaxAttempts = std::max(
-                r.retryMaxAttempts, sp.resilient->maxAttempts());
-        }
-    }
-    if (ctrl_)
-        r.reqStreamFingerprint = ctrl_->reqStreamFingerprint();
-    else if (sharded_)
         r.reqStreamFingerprint = sharded_->reqStreamFingerprint();
-
-    if (profiler_) {
-        r.profiled = true;
-        r.profiledRequests = profiler_->completed();
-        r.profileStages = profiler_->stageSummaries();
-        r.profileEffectiveness = profiler_->effectiveness();
-        if (!cfg_.obs.profileOut.empty()) {
-            std::ofstream out(cfg_.obs.profileOut);
-            if (!out) {
-                fp_fatal("cannot open --profile-out file '%s'",
-                         cfg_.obs.profileOut.c_str());
-            }
-            out << profiler_->reportJson() << '\n';
-        }
-    } else if (!shardParts_.empty() && shardParts_[0].profiler) {
-        // Roll the per-shard profilers up into one report. The
-        // aggregate profiler is scratch: a throwaway registry keeps
-        // its StatGroup out of this System's registry (the per-shard
-        // "s<N>.request_profiler" groups are the live ones).
-        StatRegistry tmp;
-        StatRegistry::Scope tmp_scope(tmp);
-        obs::RequestProfiler agg(eq_.nowPtr(),
-                                 cfg_.controller.bucketBytes());
-        for (const ShardParts &sp : shardParts_)
-            agg.merge(*sp.profiler);
-        r.profiled = true;
-        r.profiledRequests = agg.completed();
-        r.profileStages = agg.stageSummaries();
-        r.profileEffectiveness = agg.effectiveness();
-        if (!cfg_.obs.profileOut.empty()) {
-            std::ofstream out(cfg_.obs.profileOut);
-            if (!out) {
-                fp_fatal("cannot open --profile-out file '%s'",
-                         cfg_.obs.profileOut.c_str());
-            }
-            out << agg.reportJson() << '\n';
-        }
+    } else if (ctrl_) {
+        r.reqStreamFingerprint = ctrl_->reqStreamFingerprint();
     }
 
-    if (backend_) {
-        r.backendKind = backend_->kind();
-        const mem::BackendStats bs = backend_->statsSnapshot();
-        r.backendReadBursts = bs.readBursts;
-        r.backendWriteBursts = bs.writeBursts;
-        r.backendBytesRead = bs.bytesRead;
-        r.backendBytesWritten = bs.bytesWritten;
-        r.backendAvgLatencyNs = bs.avgLatencyNs;
-    } else if (!shardParts_.empty()) {
-        // Burst-weighted aggregate over the per-shard base stores.
-        double weighted_ns = 0.0;
-        std::uint64_t bursts = 0;
-        r.backendKind = shardParts_[0].backend->kind();
-        for (const ShardParts &sp : shardParts_) {
-            const mem::BackendStats bs = sp.backend->statsSnapshot();
-            r.backendReadBursts += bs.readBursts;
-            r.backendWriteBursts += bs.writeBursts;
-            r.backendBytesRead += bs.bytesRead;
-            r.backendBytesWritten += bs.bytesWritten;
-            const std::uint64_t n = bs.readBursts + bs.writeBursts;
-            weighted_ns += bs.avgLatencyNs * static_cast<double>(n);
-            bursts += n;
+    // Memory-side aggregation over the stacks. The base stores'
+    // latency is a burst-weighted mean across shards; a single stack
+    // reports its own mean as-is (the weighted form is not always
+    // bit-equal to it in floating point).
+    double weighted_ns = 0.0;
+    std::uint64_t bursts = 0;
+    r.backendKind = stacks_[0].mem->base().kind();
+    for (const StackParts &sp : stacks_) {
+        const BackendStack &st = *sp.mem;
+        if (dram::DramSystem *dram = st.dram()) {
+            r.rowHits += dram->rowHits();
+            r.rowMisses += dram->rowMisses();
+            r.dramEnergyNj += dram->energy(eq_.now()).total();
         }
-        if (bursts)
-            r.backendAvgLatencyNs =
-                weighted_ns / static_cast<double>(bursts);
+        if (mem::FaultInjector *inj = st.injector()) {
+            r.faultsEnabled = true;
+            r.faultLossInjected += inj->lossInjected();
+            r.faultErrorInjected += inj->errorInjected();
+            r.faultSpikeInjected += inj->spikeInjected();
+            r.faultOutageDropped += inj->outageDropped();
+        }
+        if (mem::ResilientBackend *res = st.resilient()) {
+            r.retryEnabled = true;
+            r.retryAttempts += res->retries();
+            r.retryTimeouts += res->timeouts();
+            r.retryDedupDropped += res->dedupDropped();
+            r.retryExhausted += res->exhausted();
+            r.retryMaxAttempts =
+                std::max(r.retryMaxAttempts, res->maxAttempts());
+        }
+        const mem::BackendStats bs = st.base().statsSnapshot();
+        r.backendReadBursts += bs.readBursts;
+        r.backendWriteBursts += bs.writeBursts;
+        r.backendBytesRead += bs.bytesRead;
+        r.backendBytesWritten += bs.bytesWritten;
+        const std::uint64_t n = bs.readBursts + bs.writeBursts;
+        weighted_ns += bs.avgLatencyNs * static_cast<double>(n);
+        bursts += n;
+    }
+    if (stacks_.size() == 1) {
+        r.backendAvgLatencyNs =
+            stacks_[0].mem->base().statsSnapshot().avgLatencyNs;
+    } else if (bursts) {
+        r.backendAvgLatencyNs = weighted_ns / static_cast<double>(bursts);
+    }
+
+    if (stacks_[0].profiler) {
+        // A sharded run rolls its per-shard profilers up into one
+        // report. The aggregate is scratch: a throwaway registry
+        // keeps its StatGroup out of this System's registry (the
+        // per-shard "s<N>.request_profiler" groups are the live ones).
+        StatRegistry tmp;
+        std::optional<obs::RequestProfiler> agg;
+        const obs::RequestProfiler *prof = stacks_[0].profiler.get();
+        if (stacks_.size() > 1) {
+            StatRegistry::Scope tmp_scope(tmp);
+            agg.emplace(eq_.nowPtr(), cfg_.controller.bucketBytes());
+            for (const StackParts &sp : stacks_)
+                agg->merge(*sp.profiler);
+            prof = &*agg;
+        }
+        r.profiled = true;
+        r.profiledRequests = prof->completed();
+        r.profileStages = prof->stageSummaries();
+        r.profileEffectiveness = prof->effectiveness();
+        if (!cfg_.obs.profileOut.empty()) {
+            std::ofstream out(cfg_.obs.profileOut);
+            if (!out) {
+                fp_fatal("cannot open --profile-out file '%s'",
+                         cfg_.obs.profileOut.c_str());
+            }
+            out << prof->reportJson() << '\n';
+        }
     }
 
     if (intervalStats_) {

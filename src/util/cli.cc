@@ -1,5 +1,6 @@
 #include "util/cli.hh"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -48,7 +49,14 @@ CliArgs::getInt(const std::string &name, std::int64_t def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    return std::strtoll(it->second.c_str(), nullptr, 0);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text, &end, 0);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        fp_fatal("--%s expects an integer (got '%s')", name.c_str(),
+                 text);
+    return v;
 }
 
 double
@@ -57,7 +65,14 @@ CliArgs::getDouble(const std::string &name, double def) const
     auto it = flags_.find(name);
     if (it == flags_.end())
         return def;
-    return std::strtod(it->second.c_str(), nullptr);
+    const char *text = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE)
+        fp_fatal("--%s expects a number (got '%s')", name.c_str(),
+                 text);
+    return v;
 }
 
 bool

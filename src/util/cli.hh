@@ -23,6 +23,8 @@ class CliArgs
     bool has(const std::string &name) const;
     std::string getString(const std::string &name,
                           const std::string &def = "") const;
+    /** Numeric flags: a value that does not parse completely (or is
+     *  out of range for the type) is fatal, naming the flag. */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
     double getDouble(const std::string &name, double def) const;
     bool getBool(const std::string &name, bool def = false) const;

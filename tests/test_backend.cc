@@ -4,8 +4,9 @@
  * that pins the DRAM adapter to the pre-refactor RunResult JSON, unit
  * tests of the NetBackend timing model (propagation, serialization,
  * windowing), a randomized read-after-write functional test driving
- * the full controller over the network store, and the full-system
- * harness running end-to-end on each backend.
+ * the full controller over the network store, the full-system
+ * harness running end-to-end on each backend, and the layers
+ * sim::BackendStack builds.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "mem/net_backend.hh"
+#include "sim/backend_stack.hh"
 #include "sim/runner.hh"
 #include "sim/sim_config.hh"
 #include "sim/sync_oram.hh"
@@ -238,6 +240,70 @@ TEST(DramBackend, AdapterForwardsToDramSystem)
 }
 
 // ---------------------------------------------------------------------------
+// sim::BackendStack: which layers exist, which one is on top, and the
+// auto retry deadline, over {dram, net} x {faults off, loss 0.01} x
+// {retry.timeoutUs 0, 50}.
+
+TEST(BackendStack, LayersTopAndRetryDeadline)
+{
+    for (const sim::BackendKind kind :
+         {sim::BackendKind::dram, sim::BackendKind::net}) {
+        for (const double loss : {0.0, 0.01}) {
+            for (const double timeout_us : {0.0, 50.0}) {
+                SCOPED_TRACE(testing::Message()
+                             << sim::backendKindName(kind)
+                             << " loss=" << loss
+                             << " timeoutUs=" << timeout_us);
+                sim::SimConfig cfg;
+                cfg.backendKind = kind;
+                cfg.faults.lossRate = loss;
+                cfg.retry.timeoutUs = timeout_us;
+                EventQueue eq;
+                sim::BackendStack stack(cfg, eq);
+
+                const bool is_dram = kind == sim::BackendKind::dram;
+                EXPECT_STREQ(stack.base().kind(),
+                             sim::backendKindName(kind));
+                EXPECT_EQ(stack.dram() != nullptr, is_dram);
+                EXPECT_EQ(stack.injector() != nullptr, loss > 0.0);
+                const bool retry = loss > 0.0 || timeout_us > 0.0;
+                ASSERT_EQ(stack.resilient() != nullptr, retry);
+
+                mem::MemoryBackend *top = &stack.base();
+                if (stack.injector())
+                    top = stack.injector();
+                if (stack.resilient())
+                    top = stack.resilient();
+                EXPECT_EQ(&stack.top(), top);
+
+                if (!retry)
+                    continue;
+                // An explicit deadline is kept; the auto one is
+                // 100 us on DRAM and max(20 x 50 us, 1 ms) on net.
+                const double want = timeout_us > 0.0 ? timeout_us
+                                    : is_dram        ? 100.0
+                                                     : 1000.0;
+                EXPECT_EQ(stack.resilient()->params().timeoutUs, want);
+                // The caller's config is never rewritten.
+                EXPECT_EQ(cfg.retry.timeoutUs, timeout_us);
+            }
+        }
+    }
+}
+
+TEST(BackendStack, NetAutoDeadlineScalesWithLatency)
+{
+    sim::SimConfig cfg;
+    cfg.backendKind = sim::BackendKind::net;
+    cfg.net.oneWayLatencyUs = 80.0;
+    cfg.faults.lossRate = 0.01;
+    EventQueue eq;
+    sim::BackendStack stack(cfg, eq);
+    ASSERT_NE(stack.resilient(), nullptr);
+    EXPECT_EQ(stack.resilient()->params().timeoutUs, 1600.0);
+}
+
+// ---------------------------------------------------------------------------
 // Randomized functional coverage: the full ORAM controller running
 // read-after-write traffic against the network store.
 
@@ -256,7 +322,7 @@ TEST(NetBackendFunctional, RandomizedReadAfterWrite)
     net.window = 8;
 
     sim::SyncOram oram(params, net);
-    EXPECT_EQ(oram.dram(), nullptr);
+    EXPECT_EQ(oram.stack().dram(), nullptr);
     EXPECT_STREQ(oram.backend().kind(), "net");
 
     Rng rng(20260806);

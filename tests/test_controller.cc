@@ -12,6 +12,7 @@
 #include <map>
 
 #include "core/oram_controller.hh"
+#include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "sim/sim_config.hh"
 #include "util/random.hh"
@@ -25,12 +26,13 @@ struct Harness
 {
     EventQueue eq;
     dram::DramSystem dram;
+    dram::DramBackend mem;
     OramController ctrl;
 
     explicit Harness(const ControllerParams &params,
                      unsigned channels = 2)
-        : dram(dram::DramParams::ddr3_1600(channels), eq),
-          ctrl(params, eq, dram)
+        : dram(dram::DramParams::ddr3_1600(channels), eq), mem(dram),
+          ctrl(params, eq, mem)
     {
     }
 

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "core/oram_controller.hh"
+#include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "util/random.hh"
 
@@ -68,7 +69,8 @@ TEST_P(ControllerSweep, ContractHolds)
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(sc.channels),
                           eq);
-    OramController ctrl(p, eq, dram);
+    dram::DramBackend mem(dram);
+    OramController ctrl(p, eq, mem);
     ctrl.setRevealTraceEnabled(true);
 
     // Random functional workload against a reference map.

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "core/oram_controller.hh"
+#include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "core/plb.hh"
 #include "util/random.hh"
@@ -93,7 +94,8 @@ TEST(Plb, ControllerChainShortening)
         p.plbEntries = plb_entries;
         EventQueue eq;
         dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-        core::OramController ctrl(p, eq, dram);
+        dram::DramBackend mem(dram);
+        core::OramController ctrl(p, eq, mem);
         Rng rng(7);
         for (int i = 0; i < 300; ++i) {
             // A tight region: PLB groups overlap heavily.
@@ -122,7 +124,8 @@ TEST(BackgroundEviction, DrainsOverfullStash)
     p.backgroundEviction = true;
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    core::OramController ctrl(p, eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(p, eq, mem);
     Rng rng(13);
     for (int i = 0; i < 400; ++i) {
         ctrl.request(oram::Op::write, rng.uniformInt(300), {},
@@ -145,7 +148,8 @@ TEST(BackgroundEviction, DisabledLeavesStashAlone)
     p.backgroundEviction = false;
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    core::OramController ctrl(p, eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(p, eq, mem);
     ctrl.request(oram::Op::write, 1, {}, [](Tick, const auto &) {});
     eq.run();
     // Without background eviction the controller parks even though

@@ -585,15 +585,15 @@ TEST(ResilienceStack, SyncOramStreamIdenticalUnderFaults)
     rp.timeoutUs = 200.0;
     rp.maxRetries = 10;
     sim::SyncOram faulty(smallController(), fastNet(), fp, rp);
-    ASSERT_NE(faulty.faultInjector(), nullptr);
-    ASSERT_NE(faulty.resilientBackend(), nullptr);
+    ASSERT_NE(faulty.stack().injector(), nullptr);
+    ASSERT_NE(faulty.stack().resilient(), nullptr);
     const std::uint64_t faulty_fp = drive(faulty);
 
     // Faults really happened, every request was recovered, and the
     // stream the controller emitted is unchanged.
-    EXPECT_GT(faulty.faultInjector()->lossInjected(), 0u);
-    EXPECT_GT(faulty.resilientBackend()->retries(), 0u);
-    EXPECT_EQ(faulty.resilientBackend()->exhausted(), 0u);
+    EXPECT_GT(faulty.stack().injector()->lossInjected(), 0u);
+    EXPECT_GT(faulty.stack().resilient()->retries(), 0u);
+    EXPECT_EQ(faulty.stack().resilient()->exhausted(), 0u);
     EXPECT_EQ(faulty_fp, clean_fp);
     // The faulted run took longer in simulated time (timeouts,
     // backoff), proving the comparison is not vacuous.
@@ -626,8 +626,8 @@ TEST(ResilienceStack, SyncOramDataIntactUnderFaults)
     }
     for (const auto &[addr, v] : shadow)
         EXPECT_EQ(oram.read(addr), v);
-    EXPECT_GT(oram.faultInjector()->lossInjected(), 0u);
-    EXPECT_EQ(oram.resilientBackend()->exhausted(), 0u);
+    EXPECT_GT(oram.stack().injector()->lossInjected(), 0u);
+    EXPECT_EQ(oram.stack().resilient()->exhausted(), 0u);
 }
 
 // --- full-system ----------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/oram_controller.hh"
+#include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "oram/integrity.hh"
 #include "util/random.hh"
@@ -205,10 +206,12 @@ struct Harness
 {
     EventQueue eq;
     dram::DramSystem dram;
+    dram::DramBackend mem;
     core::OramController ctrl;
 
     explicit Harness(const core::ControllerParams &p)
-        : dram(dram::DramParams::ddr3_1600(2), eq), ctrl(p, eq, dram)
+        : dram(dram::DramParams::ddr3_1600(2), eq), mem(dram),
+          ctrl(p, eq, mem)
     {
     }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/oram_controller.hh"
+#include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "sim/metrics.hh"
 #include "util/debug.hh"
@@ -37,7 +38,8 @@ TEST(PeriodicMode, StreamsWithoutRequests)
 {
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    core::OramController ctrl(periodicParams(1'000'000), eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(periodicParams(1'000'000), eq, mem);
     // One request to prime the stream, then let it free-run.
     ctrl.request(oram::Op::write, 1, std::vector<std::uint8_t>(8, 1),
                  [](Tick, const auto &) {});
@@ -53,7 +55,8 @@ TEST(PeriodicMode, AccessesLandOnTheGrid)
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
     auto p = periodicParams(2'000'000);
     EventQueue *eqp = &eq;
-    core::OramController ctrl(p, eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(p, eq, mem);
     ctrl.setRevealTraceEnabled(true);
     ctrl.request(oram::Op::read, 1, {}, [](Tick, const auto &) {});
     eq.run(30'000'000);
@@ -73,7 +76,8 @@ TEST(PeriodicMode, TimingChannelSealed)
     const Tick interval = 1'500'000;
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    core::OramController ctrl(periodicParams(interval), eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(periodicParams(interval), eq, mem);
     ctrl.setRevealTraceEnabled(true);
 
     Rng rng(3);
@@ -104,7 +108,8 @@ TEST(PeriodicMode, RequestsStillComplete)
 {
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    core::OramController ctrl(periodicParams(1'500'000), eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(periodicParams(1'500'000), eq, mem);
     std::vector<std::uint8_t> out;
     bool done = false;
     ctrl.request(oram::Op::write, 3, std::vector<std::uint8_t>(8, 9),
@@ -126,7 +131,8 @@ TEST(PeriodicMode, NonMergingBaselineStreamsToo)
     p.policy = core::PolicyKind::traditional;
     p.enableDummyReplacing = false;
     p.labelQueueSize = 1;
-    core::OramController ctrl(p, eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(p, eq, mem);
     ctrl.request(oram::Op::read, 1, {}, [](Tick, const auto &) {});
     eq.run(40'000'000);
     EXPECT_GT(ctrl.dummyAccessesRun(), 15u);
@@ -136,7 +142,8 @@ TEST(PeriodicMode, DemandModeStillDrains)
 {
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    core::OramController ctrl(periodicParams(0), eq, dram);
+    dram::DramBackend mem(dram);
+    core::OramController ctrl(periodicParams(0), eq, mem);
     ctrl.request(oram::Op::read, 1, {}, [](Tick, const auto &) {});
     eq.run();
     EXPECT_TRUE(eq.empty());

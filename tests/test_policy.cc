@@ -5,7 +5,7 @@
  * ControllerParams validation at construction, the policy objects'
  * admission/selection contracts, end-to-end batched runs (including
  * determinism and the batching hold actually firing), and the
- * sim-layer --policy/--batch-size flag plumbing.
+ * --policy/--batch-size flag plumbing through sim::ScenarioContext.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,9 @@
 #include "core/controller_params.hh"
 #include "core/oram_controller.hh"
 #include "sim/runner.hh"
+#include "sim/scenario.hh"
 #include "sim/sim_config.hh"
+#include "sim/spec_parse.hh"
 #include "sim/system.hh"
 #include "util/cli.hh"
 #include "workload/mixes.hh"
@@ -226,29 +228,31 @@ TEST(ForkpathPolicy, ControllerReportsTheDefaultPolicy)
 }
 
 // ---------------------------------------------------------------------------
-// Sim-layer flag plumbing.
+// Flag plumbing, through the ScenarioContext every fp_bench run builds.
 
 TEST(PolicyFlags, CliSelectsPolicyAndBatchSize)
 {
     const char *argv[] = {"bench", "--policy=batched",
                           "--batch-size=5"};
     CliArgs args(3, const_cast<char **>(argv));
-    sim::SimConfig cfg = sim::SimConfig::paperDefault();
-    sim::applyPolicyFlags(cfg, args);
-    EXPECT_EQ(cfg.controller.policy, core::PolicyKind::batched);
-    EXPECT_EQ(cfg.controller.batchSize, 5u);
+    const sim::ExperimentSpec spec =
+        sim::parseSpecText(R"({"name": "flags"})");
+    sim::ScenarioContext ctx(spec, args);
+    EXPECT_EQ(ctx.base.controller.policy, core::PolicyKind::batched);
+    EXPECT_EQ(ctx.base.controller.batchSize, 5u);
 }
 
 TEST(PolicyFlags, AbsentFlagsLeaveTheConfigUntouched)
 {
     const char *argv[] = {"bench"};
     CliArgs args(1, const_cast<char **>(argv));
-    sim::SimConfig cfg = sim::SimConfig::paperDefault();
-    const auto before_policy = cfg.controller.policy;
-    const auto before_batch = cfg.controller.batchSize;
-    sim::applyPolicyFlags(cfg, args);
-    EXPECT_EQ(cfg.controller.policy, before_policy);
-    EXPECT_EQ(cfg.controller.batchSize, before_batch);
+    const sim::ExperimentSpec spec =
+        sim::parseSpecText(R"({"name": "flags"})");
+    sim::ScenarioContext ctx(spec, args);
+    const sim::SimConfig before = sim::SimConfig::paperDefault();
+    EXPECT_EQ(ctx.base.controller.policy, before.controller.policy);
+    EXPECT_EQ(ctx.base.controller.batchSize,
+              before.controller.batchSize);
 }
 
 TEST(PolicyFlags, WithPolicyNameMatchesTheFactories)

@@ -224,7 +224,8 @@ TEST(Scenario, ContextHonorsCliOverridesAndQuick)
         EXPECT_EQ(ctx.base.controller.oram.leafLevel, 12u);
     }
     {
-        Args args({"--quick"});
+        // --quick applies after the explicit run-shape flags.
+        Args args({"--quick", "--requests=77", "--leaf-level=12"});
         auto cli = args.cli();
         ScenarioContext ctx(spec, cli);
         EXPECT_EQ(ctx.base.requestsPerCore, 150u);
@@ -237,6 +238,26 @@ TEST(Scenario, ContextHonorsCliOverridesAndQuick)
         EXPECT_EQ(ctx.mixes,
                   (std::vector<std::string>{"Mix1", "Mix2"}));
     }
+}
+
+TEST(ScenarioDeath, CliRunShapeFlagsAreRangeChecked)
+{
+    auto spec = parseSpecText(kSmallSpec, "unit.json");
+    auto context = [&spec](const char *flag) {
+        Args args({flag});
+        auto cli = args.cli();
+        ScenarioContext ctx(spec, cli);
+    };
+    // The override table's ranges: requests [1, 1e8], leaf-level
+    // [4, 40]. Negative counts used to wrap to 2^64 - 5.
+    EXPECT_EXIT(context("--requests=-5"), testing::ExitedWithCode(1),
+                "requests");
+    EXPECT_EXIT(context("--requests=0"), testing::ExitedWithCode(1),
+                "requests.*out of range");
+    EXPECT_EXIT(context("--leaf-level=60"), testing::ExitedWithCode(1),
+                "leaf-level.*out of range \\[4, 40\\]");
+    EXPECT_EXIT(context("--leaf-level=abc"), testing::ExitedWithCode(1),
+                "--leaf-level expects an integer");
 }
 
 TEST(Scenario, CommittedSpecsParseAndCoverScenarios)

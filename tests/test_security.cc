@@ -19,6 +19,7 @@
 #include <cmath>
 
 #include "core/oram_controller.hh"
+#include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "util/random.hh"
 #include "util/stat_tests.hh"
@@ -32,11 +33,12 @@ struct Harness
 {
     EventQueue eq;
     dram::DramSystem dram;
+    dram::DramBackend mem;
     OramController ctrl;
 
     explicit Harness(const ControllerParams &params)
-        : dram(dram::DramParams::ddr3_1600(2), eq),
-          ctrl(params, eq, dram)
+        : dram(dram::DramParams::ddr3_1600(2), eq), mem(dram),
+          ctrl(params, eq, mem)
     {
         ctrl.setRevealTraceEnabled(true);
     }

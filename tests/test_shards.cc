@@ -315,7 +315,7 @@ TEST(ShardedSystem, AggregationEqualsPerShardSums)
         for (std::size_t l = 0; l < per_level.size(); ++l)
             skips[l] += per_level[l];
 
-        obs::RequestProfiler *prof = sys.shardProfiler(s);
+        obs::RequestProfiler *prof = sys.profiler(s);
         ASSERT_NE(prof, nullptr);
         completed += prof->completed();
         eff_total += prof->effectiveness().totalAccesses;
@@ -375,17 +375,15 @@ TEST(ShardedResilience, PerShardRetryStatsSumToAggregate)
     ASSERT_TRUE(r.faultsEnabled);
     ASSERT_TRUE(r.retryEnabled);
 
-    // The resilience stack lives per shard, not at the system root.
-    EXPECT_EQ(sys.faultInjector(), nullptr);
-    EXPECT_EQ(sys.resilientBackend(), nullptr);
-
+    // Each shard has its own resilience stack.
+    ASSERT_EQ(sys.numStacks(), 4u);
     std::uint64_t retries = 0, timeouts = 0, losses = 0;
     for (unsigned s = 0; s < 4; ++s) {
-        mem::ResilientBackend *res = sys.shardResilient(s);
+        mem::ResilientBackend *res = sys.stack(s).resilient();
         ASSERT_NE(res, nullptr) << "shard " << s;
         retries += res->retries();
         timeouts += res->timeouts();
-        mem::FaultInjector *inj = sys.shardInjector(s);
+        mem::FaultInjector *inj = sys.stack(s).injector();
         ASSERT_NE(inj, nullptr) << "shard " << s;
         losses += inj->lossInjected();
     }

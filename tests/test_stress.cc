@@ -13,6 +13,7 @@
 #include <set>
 
 #include "core/oram_controller.hh"
+#include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "util/random.hh"
 
@@ -37,7 +38,8 @@ TEST(Stress, LongRunForkPathWithMacAndIntegrity)
 
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    OramController ctrl(p, eq, dram);
+    dram::DramBackend mem(dram);
+    OramController ctrl(p, eq, mem);
 
     std::map<BlockAddr, std::uint8_t> ref;
     Rng rng(4242);
@@ -135,7 +137,8 @@ TEST(Stress, PeriodicModeLongRunStaysHealthy)
 
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    OramController ctrl(p, eq, dram);
+    dram::DramBackend mem(dram);
+    OramController ctrl(p, eq, mem);
 
     Rng rng(99);
     std::uint64_t done = 0, issued = 0;

@@ -809,5 +809,44 @@ TEST(Cli, Doubles)
     EXPECT_DOUBLE_EQ(args.getDouble("x", 0.0), 2.5);
 }
 
+TEST(Cli, NumbersMustParseCompletely)
+{
+    const char *argv[] = {"prog", "--hex=0x10", "--neg=-3",
+                          "--sci=1e3"};
+    CliArgs args(4, const_cast<char **>(argv));
+    EXPECT_EQ(args.getInt("hex", 0), 16);
+    EXPECT_EQ(args.getInt("neg", 0), -3);
+    EXPECT_DOUBLE_EQ(args.getDouble("sci", 0.0), 1000.0);
+}
+
+TEST(CliDeath, MalformedNumbersAreFatalNamingTheFlag)
+{
+    auto parse = [](const char *flag, bool as_int) {
+        const char *argv[] = {"prog", flag};
+        CliArgs args(2, const_cast<char **>(argv));
+        if (as_int)
+            (void)args.getInt("v", 0);
+        else
+            (void)args.getDouble("v", 0.0);
+    };
+    EXPECT_EXIT(parse("--v=abc", true), testing::ExitedWithCode(1),
+                "--v expects an integer \\(got 'abc'\\)");
+    EXPECT_EXIT(parse("--v=12x", true), testing::ExitedWithCode(1),
+                "--v expects an integer");
+    EXPECT_EXIT(parse("--v=", true), testing::ExitedWithCode(1),
+                "--v expects an integer");
+    EXPECT_EXIT(parse("--v=1.5", true), testing::ExitedWithCode(1),
+                "--v expects an integer");
+    EXPECT_EXIT(parse("--v=99999999999999999999", true),
+                testing::ExitedWithCode(1), "--v expects an integer");
+    // A bare flag reads as "true", which is no number.
+    EXPECT_EXIT(parse("--v", true), testing::ExitedWithCode(1),
+                "--v expects an integer \\(got 'true'\\)");
+    EXPECT_EXIT(parse("--v=2.5ms", false), testing::ExitedWithCode(1),
+                "--v expects a number");
+    EXPECT_EXIT(parse("--v=1e999", false), testing::ExitedWithCode(1),
+                "--v expects a number");
+}
+
 } // anonymous namespace
 } // namespace fp
