@@ -1,10 +1,6 @@
 #include "fig_common.hh"
 
 #include <iostream>
-#include <sstream>
-
-#include "core/access_policy.hh"
-#include "util/logging.hh"
 
 namespace fp::bench
 {
@@ -18,100 +14,10 @@ BenchOptions
 parseOptions(const CliArgs &args)
 {
     BenchOptions opt;
-    opt.requests = static_cast<std::uint64_t>(
-        args.getInt("requests", 1200));
-    opt.leafLevel =
-        static_cast<unsigned>(args.getInt("leaf-level", 24));
-    if (args.getBool("quick")) {
-        opt.requests = 150;
-        opt.leafLevel = 14;
-    }
     opt.csv = args.getBool("csv");
     csvMode = opt.csv;
     opt.sweep = sim::sweepOptionsFromArgs(args);
-
-    sim::SimConfig probe;
-    sim::applyObsFlags(probe, args);
-    sim::applyBackendFlags(probe, args);
-    opt.obs = probe.obs;
-    opt.backendKind = probe.backendKind;
-    opt.net = probe.net;
-    opt.faults = probe.faults;
-    opt.retry = probe.retry;
-    opt.shards = probe.shards;
-    opt.shardWindow = probe.shardWindow;
-
-    opt.policy = args.getString("policy", "");
-    if (!opt.policy.empty())
-        core::parsePolicyKind(opt.policy); // fatal on unknown names
-    const std::int64_t batch = args.getInt("batch-size", 0);
-    if (args.has("batch-size") && batch < 1)
-        fp_fatal("--batch-size must be at least 1 (got %lld)",
-                 static_cast<long long>(batch));
-    opt.batchSize = static_cast<unsigned>(batch);
-
-    std::string mixes = args.getString("mixes", "");
-    if (mixes.empty()) {
-        opt.mixes = workload::mixNames();
-    } else {
-        std::stringstream ss(mixes);
-        std::string item;
-        while (std::getline(ss, item, ','))
-            opt.mixes.push_back(item);
-    }
     return opt;
-}
-
-sim::SimConfig
-baseConfig(const BenchOptions &opt)
-{
-    sim::SimConfig cfg = sim::SimConfig::paperDefault();
-    cfg.requestsPerCore = opt.requests;
-    cfg.controller.oram.leafLevel = opt.leafLevel;
-    cfg.obs = opt.obs;
-    cfg.backendKind = opt.backendKind;
-    cfg.net = opt.net;
-    cfg.faults = opt.faults;
-    cfg.retry = opt.retry;
-    cfg.shards = opt.shards;
-    cfg.shardWindow = opt.shardWindow;
-    return applyPolicy(opt, std::move(cfg));
-}
-
-sim::SimConfig
-applyPolicy(const BenchOptions &opt, sim::SimConfig cfg)
-{
-    if (!opt.policy.empty())
-        cfg = sim::withPolicyName(std::move(cfg), opt.policy);
-    if (opt.batchSize > 0)
-        cfg.controller.batchSize = opt.batchSize;
-    return cfg;
-}
-
-std::vector<sim::RunResult>
-runSweep(const BenchOptions &opt, std::vector<sim::SweepPoint> points)
-{
-    // --policy/--batch-size override every point's per-series choice
-    // (the series transforms rebuild the controller config after
-    // baseConfig, so the flag must be re-applied here).
-    if (!opt.policy.empty() || opt.batchSize > 0) {
-        for (sim::SweepPoint &p : points) {
-            if (p.cfg.insecure)
-                continue; // the insecure baseline has no scheduler
-            p.cfg = applyPolicy(opt, std::move(p.cfg));
-        }
-    }
-    sim::SweepRunner runner(opt.sweep);
-    auto outcomes = runner.run(std::move(points));
-    std::vector<sim::RunResult> results;
-    results.reserve(outcomes.size());
-    for (const auto &out : outcomes) {
-        if (!out.ok)
-            fp_fatal("sweep point '%s' failed: %s", out.name.c_str(),
-                     out.error.c_str());
-        results.push_back(out.result);
-    }
-    return results;
 }
 
 void

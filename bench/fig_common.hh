@@ -1,96 +1,32 @@
 /**
  * @file
- * Shared scaffolding for the per-figure benchmark harnesses.
- *
- * Every bench accepts:
- *   --requests=N    LLC misses per core (default 1200)
- *   --leaf-level=L  ORAM tree depth (default 24, the paper's 4 GB)
- *   --mixes=a,b     comma-separated subset of Table 2 mixes
- *   --jobs=N        parallel simulation points (default: hardware
- *                   concurrency; 1 reproduces sequential output)
- *   --quick         shrink to a smoke-test sized run
+ * Option parsing and table output for bench_components, the component
+ * micro suite. It accepts:
+ *   --jobs=N        parallel micros (default: hardware concurrency;
+ *                   1 times them sequentially)
  *   --csv           emit tables as CSV (for external plotting)
- *
- * plus the observability flags of sim::applyObsFlags (--trace-out,
- * --trace-level, --stats-out, --stats-interval) and the memory-
- * backend flags of sim::applyBackendFlags (--backend=dram|net,
- * --net-latency-us, --net-gbps, --net-window, and the fault/retry
- * flags --fault-loss-rate, --fault-error-rate, --fault-spike-us,
- * --fault-spike-rate, --fault-outage, --fault-seed,
- * --retry-timeout-us, --retry-max, --retry-backoff, and the sharding
- * flags --shards, --shard-window), applied to every
- * run the bench performs. The default --backend=dram reproduces the
- * paper's DDR3 numbers byte for byte; --backend=net reruns the same
- * experiment against the network/cloud store model.
- *
- * Output convention: each bench prints the paper's series as ASCII
- * tables, normalized the same way the figure is, and ends with a
- * "paper reports" note for EXPERIMENTS.md cross-checking.
  */
 
 #ifndef FP_BENCH_FIG_COMMON_HH
 #define FP_BENCH_FIG_COMMON_HH
 
 #include <string>
-#include <vector>
 
-#include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "util/cli.hh"
 #include "util/table.hh"
-#include "workload/mixes.hh"
 
 namespace fp::bench
 {
 
 struct BenchOptions
 {
-    std::uint64_t requests = 1200;
-    unsigned leafLevel = 24;
-    std::vector<std::string> mixes;
     bool csv = false;
-    sim::ObsConfig obs;
-    sim::BackendKind backendKind = sim::BackendKind::dram;
-    mem::NetBackendParams net;
-    mem::FaultParams faults;
-    mem::RetryParams retry;
-    unsigned shards = 1;
-    unsigned shardWindow = 16;
-    /** --policy=NAME: access-policy registry name forced onto every
-     *  point (empty = each bench keeps its own per-series choice). */
-    std::string policy;
-    /** --batch-size=N for the batched policy (0 = keep default). */
-    unsigned batchSize = 0;
     sim::SweepOptions sweep;
 };
 
 /** Parse the common flags. */
 BenchOptions parseOptions(const CliArgs &args);
-
-/** The paper's Table 1 config with the bench's scaling applied. */
-sim::SimConfig baseConfig(const BenchOptions &opt);
-
-/**
- * Force opt.policy / opt.batchSize onto a finished point config; the
- * identity when neither flag was given, so default invocations stay
- * byte-identical to historical output. Apply AFTER the bench's own
- * series transforms (sim::withTraditional and friends would override
- * the policy otherwise).
- */
-sim::SimConfig applyPolicy(const BenchOptions &opt,
-                           sim::SimConfig cfg);
-
-/**
- * Run every point through a SweepRunner configured by --jobs, with a
- * per-point progress line on stderr (unless --csv). When --policy /
- * --batch-size were given, the override is applied to every point
- * here (insecure baselines excepted), so it wins over the bench's
- * per-series transforms. Any failed point is fatal (the figure would
- * be missing a series); returns the RunResults in point order.
- */
-std::vector<sim::RunResult> runSweep(const BenchOptions &opt,
-                                     std::vector<sim::SweepPoint>
-                                         points);
 
 /** Print a table followed by a blank line. */
 void emit(const TextTable &table);

@@ -47,8 +47,7 @@ registerFaultsScenario()
             static_cast<unsigned>(ctx.spec.paramUint("queue", 64)));
         std::vector<sim::SweepPoint> points;
         for (sim::BackendKind kind : kinds) {
-            const char *kind_name =
-                kind == sim::BackendKind::dram ? "dram" : "net";
+            const char *kind_name = sim::backendKindName(kind);
             for (double loss : lossRates) {
                 auto c = cfg;
                 c.backendKind = kind;
@@ -76,8 +75,7 @@ registerFaultsScenario()
 
         std::size_t idx = 0;
         for (sim::BackendKind kind : kinds) {
-            const char *kind_name =
-                kind == sim::BackendKind::dram ? "dram" : "net";
+            const char *kind_name = sim::backendKindName(kind);
             // Row 0 of each backend block is the fault-free
             // reference for the fingerprint comparison.
             const sim::SweepOutcome &base = outcomes[idx];

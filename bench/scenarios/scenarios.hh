@@ -9,8 +9,7 @@
  *
  * A scenario's stdout is byte-identical to the legacy binary it
  * replaced, at any --jobs (the SweepRunner determinism contract plus
- * ordered emission). The wrappers (bench_fig10 etc.) call
- * specMain("fig10", ...) and are otherwise empty.
+ * ordered emission): `fp_bench fig10` prints what `bench_fig10` did.
  */
 
 #ifndef FP_BENCH_SCENARIOS_SCENARIOS_HH
@@ -35,17 +34,9 @@ void registerBuiltinScenarios();
 std::string resolveSpecPath(const std::string &name);
 
 /**
- * Entry point shared by the legacy wrapper binaries: handle the
- * --list-policies / --list-backends / --list-scenarios flags, then
- * load experiments/<spec_name>.json and run it. Wrappers pass their
- * historical spec name; flags and output match the pre-spec binary.
- */
-int specMain(const std::string &spec_name, int argc, char **argv);
-
-/**
- * The `fp_bench` driver: like specMain but the spec comes from the
- * command line — a path to a .json file or a bare spec name resolved
- * via resolveSpecPath. `fp_bench --list-experiments` enumerates the
+ * The `fp_bench` driver: the spec comes from the command line — a
+ * path to a .json file or a bare spec name resolved via
+ * resolveSpecPath. `fp_bench --list-experiments` enumerates the
  * committed specs with their descriptions.
  */
 int benchMain(int argc, char **argv);

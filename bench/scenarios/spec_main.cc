@@ -1,10 +1,9 @@
 /**
  * @file
- * Shared entry points for the experiment-spec runtime: the fp_bench
- * driver (spec file or name on the command line) and the thin legacy
- * wrappers (historical binary name pinned to its spec). Both share
- * the --list-policies / --list-backends / --list-scenarios discovery
- * flags; fp_bench adds --list-experiments over the committed specs.
+ * The fp_bench driver: resolve a spec file or committed spec name from
+ * the command line and dispatch it, plus the discovery flags
+ * --list-experiments / --list-scenarios / --list-policies /
+ * --list-backends.
  */
 
 #include <algorithm>
@@ -35,32 +34,6 @@ experimentsDir()
     return FP_EXPERIMENTS_DIR;
 }
 
-/**
- * Handle the discovery flags shared by fp_bench and the wrappers.
- * Returns true when a flag was handled (the caller exits 0): the
- * flags print one name per line so shell pipelines can consume them.
- */
-bool
-handleListFlags(const CliArgs &args)
-{
-    if (args.getBool("list-policies")) {
-        for (const auto &name : core::accessPolicyNames())
-            std::cout << name << "\n";
-        return true;
-    }
-    if (args.getBool("list-backends")) {
-        for (const auto &name : sim::backendKindNames())
-            std::cout << name << "\n";
-        return true;
-    }
-    if (args.getBool("list-scenarios")) {
-        for (const auto &name : sim::scenarioNames())
-            std::cout << name << "\n";
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 std::string
@@ -77,24 +50,26 @@ resolveSpecPath(const std::string &name)
 }
 
 int
-specMain(const std::string &spec_name, int argc, char **argv)
-{
-    registerBuiltinScenarios();
-    CliArgs args(argc, argv);
-    if (handleListFlags(args))
-        return 0;
-    auto spec = sim::parseSpecFile(resolveSpecPath(spec_name));
-    return sim::runSpec(spec, args);
-}
-
-int
 benchMain(int argc, char **argv)
 {
     registerBuiltinScenarios();
     CliArgs args(argc, argv);
-    if (handleListFlags(args))
+    // Discovery flags print one name per line for shell pipelines.
+    if (args.getBool("list-policies")) {
+        for (const auto &name : core::accessPolicyNames())
+            std::cout << name << "\n";
         return 0;
-
+    }
+    if (args.getBool("list-backends")) {
+        for (const auto &name : sim::backendKindNames())
+            std::cout << name << "\n";
+        return 0;
+    }
+    if (args.getBool("list-scenarios")) {
+        for (const auto &name : sim::scenarioNames())
+            std::cout << name << "\n";
+        return 0;
+    }
     if (args.getBool("list-experiments")) {
         const std::string dir = experimentsDir();
         std::vector<std::string> names;

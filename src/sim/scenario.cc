@@ -1,8 +1,11 @@
 #include "sim/scenario.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -173,6 +176,18 @@ ExperimentSpec::paramNode(const std::string &key) const
 namespace
 {
 
+/** Command-line text that parses whole as a number, else nullopt. */
+std::optional<double>
+parseNumber(const std::string &text)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    const double v = std::strtod(begin, &end);
+    if (end == begin || *end != '\0')
+        return std::nullopt;
+    return v;
+}
+
 struct OvCtx
 {
     SimConfig &cfg;
@@ -185,14 +200,43 @@ struct OvCtx
         specFail(src, ov.value, "\"" + ov.key + "\": " + what);
     }
 
+    /** A command-line value arrives as text; a spec value must
+     *  already carry its JSON type. */
+    bool
+    cliText() const
+    {
+        return src.text.empty() && ov.value.isString();
+    }
+
+    [[noreturn]] void
+    failText(const std::string &expected) const
+    {
+        specFail(src, ov.value,
+                 "--" + ov.key + " expects " + expected + " (got '" +
+                     ov.value.asString() + "')");
+    }
+
+    /** The value as a number: a JSON number, or command-line text. */
+    double
+    number(const std::string &expected) const
+    {
+        if (ov.value.isNumber())
+            return ov.value.asNumber();
+        if (!cliText())
+            fail("expected " + expected);
+        const auto v = parseNumber(ov.value.asString());
+        if (!v)
+            failText(expected);
+        return *v;
+    }
+
     std::uint64_t
     uintIn(std::uint64_t lo, std::uint64_t hi) const
     {
-        const JsonValue &v = ov.value;
-        if (!v.isNumber() || v.asNumber() < 0.0 ||
-            v.asNumber() != static_cast<double>(v.asUint64()))
+        const double d = number("an integer");
+        if (!(d >= 0.0 && d < 0x1p64) || d != std::floor(d))
             fail("expected an integer");
-        const std::uint64_t n = v.asUint64();
+        const auto n = static_cast<std::uint64_t>(d);
         if (n < lo || n > hi)
             fail(strprintf("value %llu out of range [%llu, %llu]",
                            static_cast<unsigned long long>(n),
@@ -204,10 +248,8 @@ struct OvCtx
     double
     numIn(double lo, double hi) const
     {
-        if (!ov.value.isNumber())
-            fail("expected a number");
-        const double v = ov.value.asNumber();
-        if (v < lo || v > hi)
+        const double v = number("a number");
+        if (!(v >= lo && v <= hi))
             fail(strprintf("value %g out of range [%g, %g]", v, lo,
                            hi));
         return v;
@@ -229,16 +271,32 @@ struct OvCtx
         return ov.value.asString();
     }
 
-    /** [lo, hi] pair for window-style values ("fault-outage"). */
-    std::pair<double, double>
-    numPair() const
+    /**
+     * [lo, hi] for window-style values (outage window, backoff
+     * range): a two-number array, or command-line text "LO:HI"
+     * (@p form names it in errors). Text without a colon gives no hi.
+     */
+    std::pair<double, std::optional<double>>
+    numPair(const std::string &form) const
     {
-        if (!ov.value.isArray() || ov.value.size() != 2 ||
-            !ov.value.at(std::size_t{0}).isNumber() ||
-            !ov.value.at(std::size_t{1}).isNumber())
+        const JsonValue &v = ov.value;
+        if (cliText()) {
+            const std::string &text = v.asString();
+            const auto colon = text.find(':');
+            const bool pair = colon != std::string::npos;
+            const auto lo = parseNumber(text.substr(0, colon));
+            const auto hi = pair ? parseNumber(text.substr(colon + 1))
+                                 : std::nullopt;
+            if (!lo || (pair && !hi))
+                failText(form);
+            return {*lo, hi};
+        }
+        if (!v.isArray() || v.size() != 2 ||
+            !v.at(std::size_t{0}).isNumber() ||
+            !v.at(std::size_t{1}).isNumber())
             fail("expected a two-number array [lo, hi]");
-        return {ov.value.at(std::size_t{0}).asNumber(),
-                ov.value.at(std::size_t{1}).asNumber()};
+        return {v.at(std::size_t{0}).asNumber(),
+                v.at(std::size_t{1}).asNumber()};
     }
 };
 
@@ -497,11 +555,11 @@ overrideTable()
          }},
         {"fault-outage",
          [](const OvCtx &c) {
-             const auto [t0, t1] = c.numPair();
-             if (t0 < 0.0 || t1 <= t0)
+             const auto [t0, t1] = c.numPair("T0:T1");
+             if (!t1 || !(t0 >= 0.0 && *t1 > t0))
                  c.fail("outage window needs 0 <= T0 < T1");
              c.cfg.faults.outageStartUs = t0;
-             c.cfg.faults.outageEndUs = t1;
+             c.cfg.faults.outageEndUs = *t1;
          }},
         {"fault-seed",
          [](const OvCtx &c) {
@@ -518,11 +576,14 @@ overrideTable()
          }},
         {"retry-backoff",
          [](const OvCtx &c) {
-             const auto [base, cap] = c.numPair();
-             if (base < 0.0 || cap < base)
+             // A lone command-line BASE raises the cap to at least it.
+             const auto [base, cap] = c.numPair("BASE or BASE:CAP");
+             const double hi =
+                 cap.value_or(std::max(c.cfg.retry.backoffCapUs, base));
+             if (!(base >= 0.0 && hi >= base))
                  c.fail("backoff needs 0 <= BASE <= CAP");
              c.cfg.retry.backoffBaseUs = base;
-             c.cfg.retry.backoffCapUs = cap;
+             c.cfg.retry.backoffCapUs = hi;
          }},
     };
     return table;
@@ -565,6 +626,14 @@ applySpecOverrides(SimConfig &cfg,
 {
     for (const SpecOverride &ov : ovs)
         applySpecOverride(cfg, ov, src);
+
+    // A spike magnitude without a rate means "spike some requests":
+    // default the rate on rather than silently doing nothing. A rate
+    // in the same set wins, whichever order the two keys come in.
+    if (keyPresent(ovs, "fault-spike-us") &&
+        !keyPresent(ovs, "fault-spike-rate") &&
+        cfg.faults.spikeRate == 0.0)
+        cfg.faults.spikeRate = 0.01;
 
     // Cross-key conflicts: catch configurations that would only
     // misbehave (or silently do nothing) deep inside a sweep.
@@ -676,27 +745,47 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
 
 // --- ScenarioContext -------------------------------------------------------
 
+namespace
+{
+
+const SpecSource commandLine{"command line", "", 0};
+
+// The configuration knobs the command line accepts, in the order they
+// apply. Each is a key of the override table, so a flag gets the same
+// handler, range and cross-key checks as the spec key.
+const char *const knobFlags[] = {
+    "requests",         "leaf-level",       "backend",
+    "net-latency-us",   "net-gbps",         "net-window",
+    "shards",           "shard-window",     "fault-loss-rate",
+    "fault-error-rate", "fault-spike-us",   "fault-spike-rate",
+    "fault-outage",     "fault-seed",       "retry-timeout-us",
+    "retry-max",        "retry-backoff",    "policy",
+    "batch-size",
+};
+
+} // namespace
+
 ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
                                  const CliArgs &args_)
     : spec(spec_), args(args_)
 {
-    // Mirror the historical bench option ordering exactly so spec
-    // runs stay byte-identical to the binaries they replace:
-    // defaults (now from the spec's base block), then --requests /
-    // --leaf-level, then --quick, then the shared flag groups.
+    // Defaults (the spec's base block), then the knob flags, then
+    // --quick: the historical bench option order, so spec runs stay
+    // byte-identical to the binaries they replaced.
     base = SimConfig::paperDefault();
     applySpecOverrides(base, spec.base, spec.source, spec.params);
 
-    // Range-checked by the override table, like a spec's "requests"
-    // and "leaf-level" keys.
-    const SpecSource cli_source{"command line", "", 0};
-    for (const char *key : {"requests", "leaf-level"}) {
-        if (args.has(key)) {
-            const JsonValue value =
-                JsonValue::parse(std::to_string(args.getInt(key, 0)));
-            applySpecOverride(base, SpecOverride{key, value},
-                              cli_source);
-        }
+    std::vector<SpecOverride> knobs;
+    for (const char *key : knobFlags) {
+        if (args.has(key))
+            knobs.push_back(
+                {key, JsonValue::parse(
+                          JsonWriter().value(args.getString(key)).str())});
+    }
+    applySpecOverrides(base, knobs, commandLine, spec.params);
+    for (const SpecOverride &ov : knobs) {
+        if (ov.key == "policy" || ov.key == "batch-size")
+            schedulerFlags.push_back(ov);
     }
     if (args.getBool("quick")) {
         base.requestsPerCore = 150;
@@ -705,19 +794,7 @@ ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
 
     csv = args.getBool("csv");
     sweepOpt = sweepOptionsFromArgs(args);
-
     applyObsFlags(base, args);
-    applyBackendFlags(base, args);
-
-    policyOverride = args.getString("policy", "");
-    if (!policyOverride.empty())
-        core::parsePolicyKind(policyOverride); // fatal if unknown
-    const std::int64_t batch = args.getInt("batch-size", 0);
-    if (args.has("batch-size") && batch < 1)
-        fp_fatal("--batch-size must be at least 1 (got %lld)",
-                 static_cast<long long>(batch));
-    batchSizeOverride = static_cast<unsigned>(batch);
-    base = applyPolicy(std::move(base));
 
     const std::string mix_flag = args.getString("mixes", "");
     if (!mix_flag.empty()) {
@@ -730,16 +807,6 @@ ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
     } else {
         mixes = workload::mixNames();
     }
-}
-
-SimConfig
-ScenarioContext::applyPolicy(SimConfig cfg) const
-{
-    if (!policyOverride.empty())
-        cfg = withPolicyName(std::move(cfg), policyOverride);
-    if (batchSizeOverride > 0)
-        cfg.controller.batchSize = batchSizeOverride;
-    return cfg;
 }
 
 SimConfig
@@ -778,13 +845,12 @@ ScenarioContext::runRaw(std::vector<SweepPoint> points) const
 {
     // --policy/--batch-size override every point's per-series choice
     // (series transforms rebuild the controller config after the base
-    // was built, so the flag must be re-applied per point).
-    if (!policyOverride.empty() || batchSizeOverride > 0) {
-        for (SweepPoint &p : points) {
-            if (p.cfg.insecure)
-                continue; // the insecure baseline has no scheduler
-            p.cfg = applyPolicy(std::move(p.cfg));
-        }
+    // was built, so the flags must be re-applied per point).
+    for (SweepPoint &p : points) {
+        if (p.cfg.insecure)
+            continue; // the insecure baseline has no scheduler
+        for (const SpecOverride &ov : schedulerFlags)
+            applySpecOverride(p.cfg, ov, commandLine);
     }
     SweepRunner runner(sweepOpt);
     auto outcomes = runner.run(std::move(points));

@@ -6,8 +6,8 @@
  * output files and baseline-gate metrics — parsed from a JSON spec
  * file committed under experiments/ (see spec_parse.hh). A Scenario
  * is the registered rendering/wiring code a spec selects by name; the
- * `fp_bench` driver (and the thin legacy bench wrappers) load a spec,
- * build a ScenarioContext from it plus the command line, and dispatch.
+ * `fp_bench` driver loads a spec, builds a ScenarioContext from it plus
+ * the command line, and dispatches.
  *
  * Responsibilities are split so new experiments are data, not code:
  *
@@ -158,20 +158,23 @@ struct ExperimentSpec
 };
 
 /**
- * Apply one spec override to @p cfg. The key table mirrors the CLI
- * flags plus the sim::with* variant helpers; unknown keys, type
- * mismatches and out-of-range values are fatal with the spec
- * file/line. See docs/ARCHITECTURE.md for the full key reference.
+ * Apply one spec override to @p cfg. The key table is the one parser
+ * of configuration knobs: spec keys and the knob flags of the command
+ * line (values from a source with no spec text arrive as text) share
+ * its handlers and ranges. Unknown keys, type mismatches and
+ * out-of-range values are fatal with the spec file/line. See
+ * docs/ARCHITECTURE.md for the full key reference.
  */
 void applySpecOverride(SimConfig &cfg, const SpecOverride &ov,
                        const SpecSource &src);
 
 /**
- * Apply a whole override set in order, then validate cross-key
- * conflicts (insecure + scheduler knobs, shards on the insecure
- * baseline, batch-size without the batched policy, cache-bytes
- * without a cache). @p where anchors conflict messages to the
- * override object's spec line.
+ * Apply a whole override set in order, default the spike rate to 0.01
+ * when the set gives "fault-spike-us" but no "fault-spike-rate", then
+ * validate cross-key conflicts (insecure + scheduler knobs, shards on
+ * the insecure baseline, batch-size without the batched policy,
+ * cache-bytes without a cache). @p where anchors conflict messages to
+ * the override object's spec line.
  */
 void applySpecOverrides(SimConfig &cfg,
                         const std::vector<SpecOverride> &ovs,
@@ -208,20 +211,15 @@ class ScenarioContext
     bool csv = false;
     SweepOptions sweepOpt;
 
-    /** --policy / --batch-size, forced onto every non-insecure point
-     *  after its series transform (empty/0 = no override). */
-    std::string policyOverride;
-    unsigned batchSizeOverride = 0;
+    /** --policy / --batch-size as given, re-applied to every
+     *  non-insecure point after its series transform. */
+    std::vector<SpecOverride> schedulerFlags;
 
     unsigned leafLevel() const
     {
         return base.controller.oram.leafLevel;
     }
     std::uint64_t requests() const { return base.requestsPerCore; }
-
-    /** Force the policy/batch-size overrides onto a point config;
-     *  the identity when neither flag was given. */
-    SimConfig applyPolicy(SimConfig cfg) const;
 
     /** base + a spec point's overrides (conflict-checked at parse). */
     SimConfig pointConfig(const SpecPoint &point) const;

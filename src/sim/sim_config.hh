@@ -172,44 +172,6 @@ struct SimConfig
  */
 void applyObsFlags(SimConfig &cfg, const CliArgs &args);
 
-/**
- * Apply the shared memory-backend flags to @p cfg:
- *
- *   --backend=KIND       "dram" (default) or "net"
- *   --net-latency-us=T   one-way propagation delay (default 50)
- *   --net-gbps=B         link bandwidth in Gb/s (default 10)
- *   --net-window=N       outstanding-request window (default 16)
- *   --shards=N           independent ORAM shards (default 1)
- *   --shard-window=K     dispatcher inflight window per shard (16)
- *
- * The --net-* flags tune the model whether or not --backend=net was
- * given on the same command line (so a sweep driver can set them
- * once). Unknown kinds and non-positive values are fatal.
- *
- * Also applies the fault-injection / retry flags (applyFaultFlags).
- */
-void applyBackendFlags(SimConfig &cfg, const CliArgs &args);
-
-/**
- * Apply the fault-injection and retry flags to @p cfg (called from
- * applyBackendFlags; exposed for harnesses that only want these):
- *
- *   --fault-loss-rate=P    probability a request is lost (default 0)
- *   --fault-error-rate=P   probability of a transient error (0)
- *   --fault-spike-rate=P   probability of a latency spike (0; set
- *                          implicitly to 0.01 by --fault-spike-us)
- *   --fault-spike-us=T     spike magnitude in us (default 500)
- *   --fault-outage=T0:T1   store unreachable for [T0,T1) us
- *   --fault-seed=S         fault-decision stream seed
- *   --retry-timeout-us=T   per-attempt completion deadline (0 = auto)
- *   --retry-max=N          retries after the first attempt (5)
- *   --retry-backoff=B[:C]  backoff base (and cap) in us
- *
- * Rates outside [0,1], negative times, and malformed outage windows
- * are fatal with a CLI-facing message.
- */
-void applyFaultFlags(SimConfig &cfg, const CliArgs &args);
-
 /** Select a scheduling policy by kind (core registry preset). */
 SimConfig withPolicy(SimConfig cfg, core::PolicyKind kind);
 

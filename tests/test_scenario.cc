@@ -3,15 +3,18 @@
  * Experiment-spec runtime tests: parse round-trips, grid expansion,
  * spec-hash stability, parse-time validation (malformed specs die
  * with a file:line diagnostic), provenance stamping into RunResult
- * JSON, byte-identical stdout across --jobs, and every committed
- * spec under experiments/ parsing cleanly.
+ * JSON, byte-identical stdout across --jobs, knob flags setting what
+ * the same spec keys set (and dying with the same messages), and
+ * every committed spec under experiments/ parsing cleanly.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "core/access_policy.hh"
 #include "sim/scenario.hh"
 #include "sim/spec_parse.hh"
 #include "util/cli.hh"
@@ -258,6 +261,150 @@ TEST(ScenarioDeath, CliRunShapeFlagsAreRangeChecked)
                 "leaf-level.*out of range \\[4, 40\\]");
     EXPECT_EXIT(context("--leaf-level=abc"), testing::ExitedWithCode(1),
                 "--leaf-level expects an integer");
+}
+
+/** A one-point sweep spec whose base block is {variant: merge, @p set}. */
+ExperimentSpec
+specWithBase(const std::string &set)
+{
+    return parseSpecText(
+        R"({"name": "unit", "mixes": ["Mix3"], "base": {"variant": "merge")" +
+            (set.empty() ? "" : ", " + set) + "}}",
+        "unit.json");
+}
+
+/** Every SimConfig field a knob flag can set, printed for comparison. */
+std::string
+knobFields(const SimConfig &c)
+{
+    std::ostringstream os;
+    os.precision(17);
+    os << c.requestsPerCore << ' ' << c.controller.oram.leafLevel << ' '
+       << core::policyKindName(c.controller.policy) << ' '
+       << c.controller.batchSize << ' ' << c.controller.labelQueueSize
+       << ' ' << backendKindName(c.backendKind) << ' '
+       << c.net.oneWayLatencyUs << ' ' << c.net.linkGbps << ' '
+       << c.net.window << ' ' << c.shards << ' ' << c.shardWindow << ' '
+       << c.faults.lossRate << ' ' << c.faults.errorRate << ' '
+       << c.faults.spikeRate << ' ' << c.faults.spikeUs << ' '
+       << c.faults.outageStartUs << ' ' << c.faults.outageEndUs << ' '
+       << c.faults.seed << ' ' << c.retry.timeoutUs << ' '
+       << c.retry.maxRetries << ' ' << c.retry.backoffBaseUs << ' '
+       << c.retry.backoffCapUs << ' ' << c.insecure;
+    return os.str();
+}
+
+TEST(Scenario, KnobFlagsMatchSpecKeys)
+{
+    // Each knob flag, as command-line text, must set exactly what the
+    // same key does in a spec's base block.
+    const struct
+    {
+        std::vector<std::string> flags;
+        std::string set;
+    } cases[] = {
+        {{"--requests=77"}, R"("requests": 77)"},
+        {{"--leaf-level=12"}, R"("leaf-level": 12)"},
+        {{"--policy=traditional"}, R"("policy": "traditional")"},
+        {{"--policy=batched", "--batch-size=4"},
+         R"("policy": "batched", "batch-size": 4)"},
+        {{"--backend=net"}, R"("backend": "net")"},
+        {{"--net-latency-us=20"}, R"("net-latency-us": 20)"},
+        {{"--net-gbps=5"}, R"("net-gbps": 5)"},
+        {{"--net-window=4"}, R"("net-window": 4)"},
+        {{"--shards=2"}, R"("shards": 2)"},
+        {{"--shard-window=8"}, R"("shard-window": 8)"},
+        {{"--fault-loss-rate=0.01"}, R"("fault-loss-rate": 0.01)"},
+        {{"--fault-error-rate=0.02"}, R"("fault-error-rate": 0.02)"},
+        {{"--fault-spike-us=500"}, R"("fault-spike-us": 500)"},
+        {{"--fault-spike-rate=0.05"}, R"("fault-spike-rate": 0.05)"},
+        {{"--fault-outage=100:200"}, R"("fault-outage": [100, 200])"},
+        {{"--fault-seed=7"}, R"("fault-seed": 7)"},
+        {{"--retry-timeout-us=50"}, R"("retry-timeout-us": 50)"},
+        {{"--retry-max=3"}, R"("retry-max": 3)"},
+        {{"--retry-backoff=5:50"}, R"("retry-backoff": [5, 50])"},
+        // A lone BASE keeps the default 2000 us cap, or raises it.
+        {{"--retry-backoff=5"}, R"("retry-backoff": [5, 2000])"},
+        {{"--retry-backoff=5000"}, R"("retry-backoff": [5000, 5000])"},
+    };
+    const auto plain = specWithBase("");
+    for (const auto &c : cases) {
+        Args args(c.flags);
+        auto cli = args.cli();
+        const ScenarioContext from_flags(plain, cli);
+
+        const auto spec = specWithBase(c.set);
+        Args none({});
+        auto no_cli = none.cli();
+        const ScenarioContext from_spec(spec, no_cli);
+
+        EXPECT_EQ(knobFields(from_flags.base), knobFields(from_spec.base))
+            << c.set;
+        EXPECT_NE(knobFields(from_flags.base),
+                  knobFields(ScenarioContext(plain, no_cli).base))
+            << c.set << " changed nothing";
+    }
+}
+
+TEST(Scenario, SpikeMagnitudeDefaultsTheRate)
+{
+    auto rate = [](const std::string &set) {
+        SimConfig cfg = SimConfig::paperDefault();
+        const auto spec = specWithBase(set);
+        applySpecOverrides(cfg, spec.base, spec.source, spec.params);
+        return cfg.faults.spikeRate;
+    };
+    EXPECT_DOUBLE_EQ(rate(R"("fault-spike-us": 500)"), 0.01);
+    EXPECT_DOUBLE_EQ(rate(""), 0.0);
+    // An explicit rate wins, whichever key comes first.
+    EXPECT_DOUBLE_EQ(
+        rate(R"("fault-spike-us": 500, "fault-spike-rate": 0.05)"), 0.05);
+    EXPECT_DOUBLE_EQ(
+        rate(R"("fault-spike-rate": 0.05, "fault-spike-us": 500)"), 0.05);
+    EXPECT_DOUBLE_EQ(
+        rate(R"("fault-spike-rate": 0, "fault-spike-us": 500)"), 0.0);
+}
+
+TEST(ScenarioDeath, RejectedKnobFlagsUseTheTableMessage)
+{
+    const auto spec = specWithBase("");
+    auto context = [&spec](const char *flag) {
+        Args args({flag});
+        auto cli = args.cli();
+        ScenarioContext ctx(spec, cli);
+    };
+    const struct
+    {
+        const char *flag;
+        const char *message;
+    } cases[] = {
+        {"--batch-size=4", "\"batch-size\" requires the batched policy"},
+        {"--net-latency-us=2e9",
+         "\"net-latency-us\": value 2e\\+09 out of range"},
+        {"--fault-seed=-1", "\"fault-seed\": expected an integer"},
+        {"--fault-loss-rate=1.5",
+         "\"fault-loss-rate\": value 1.5 out of range \\[0, 1\\]"},
+        {"--fault-outage=5:1",
+         "\"fault-outage\": outage window needs 0 <= T0 < T1"},
+        {"--retry-backoff=3:1",
+         "\"retry-backoff\": backoff needs 0 <= BASE <= CAP"},
+        {"--net-window=0", "\"net-window\": value 0 out of range"},
+        {"--fault-outage=abc", "--fault-outage expects T0:T1"},
+        {"--backend=disk", "\"backend\": unknown backend 'disk'"},
+    };
+    for (const auto &c : cases)
+        EXPECT_EXIT(context(c.flag), testing::ExitedWithCode(1),
+                    std::string("command line: ") + c.message)
+            << c.flag;
+
+    // A spec value must already carry its JSON type: only command-line
+    // values may arrive as text.
+    EXPECT_EXIT(specWithBase(R"("net-latency-us": "20")"),
+                testing::ExitedWithCode(1),
+                "\"net-latency-us\": expected a number");
+    EXPECT_EXIT(specWithBase(R"("fault-outage": "100:200")"),
+                testing::ExitedWithCode(1),
+                "\"fault-outage\": expected a two-number array");
 }
 
 TEST(Scenario, CommittedSpecsParseAndCoverScenarios)
