@@ -1,15 +1,14 @@
 /**
  * @file
  * The scenario renderers behind the experiment-spec runtime: one
- * registered scenario per migrated bench binary. The spec files under
- * experiments/ own every grid, preset list and default the legacy
- * binaries used to hard-code; the renderers own only the
- * figure-specific derivation and table layout (normalisation against
- * a baseline row, geomeans, analytic companion columns).
+ * registered scenario per figure or study. The spec files under
+ * experiments/ own every grid, preset list and default; the renderers
+ * own only the figure-specific derivation and table layout. The ratio
+ * figures (11-16, 18) share one routine in ratio_figures.cc.
  *
- * A scenario's stdout is byte-identical to the legacy binary it
- * replaced, at any --jobs (the SweepRunner determinism contract plus
- * ordered emission): `fp_bench fig10` prints what `bench_fig10` did.
+ * A scenario's stdout is the same at any --jobs (the SweepRunner
+ * determinism contract plus ordered emission), and every committed
+ * spec's stdout is pinned in experiments/golden/.
  */
 
 #ifndef FP_BENCH_SCENARIOS_SCENARIOS_HH
@@ -51,14 +50,9 @@ asUnsigned(const std::vector<std::uint64_t> &values)
 
 // Per-figure registration hooks (called by registerBuiltinScenarios).
 void registerFig10Scenario();
-void registerFig11Scenario();
-void registerFig12Scenario();
-void registerFig13Scenario();
-void registerFig14Scenario();
-void registerFig15Scenario();
-void registerFig16Scenario();
+/** Figs. 11-16 and 18 (ratio_figures.cc). */
+void registerRatioFigureScenarios();
 void registerFig17Scenario();
-void registerFig18Scenario();
 void registerFig19Scenario();
 void registerTable2Scenario();
 void registerOverlapScenario();

@@ -114,14 +114,8 @@ registerBuiltinScenarios()
 {
     static const bool once = [] {
         registerFig10Scenario();
-        registerFig11Scenario();
-        registerFig12Scenario();
-        registerFig13Scenario();
-        registerFig14Scenario();
-        registerFig15Scenario();
-        registerFig16Scenario();
+        registerRatioFigureScenarios();
         registerFig17Scenario();
-        registerFig18Scenario();
         registerFig19Scenario();
         registerTable2Scenario();
         registerOverlapScenario();
