@@ -154,81 +154,37 @@ registerAblationScenario()
 
         auto results = ctx.run(std::move(points));
         const auto &trad = results[0];
-        std::size_t next = 1;
-        auto row = [&](TextTable &table) {
-            addRow(table, names[next], results[next],
-                   trad.avgLlcLatencyNs);
-            ++next;
-        };
         const std::string q_tag =
             "(q=" + std::to_string(queue) + ", " + mix + ")";
-
-        TextTable stack("technique stack (" + mix + ")");
-        stack.setHeader({"config", "latency_ns", "norm", "path_len",
-                         "dummy/real", "energy_mJ"});
-        stack.addRow(
-            {"traditional", TextTable::fmt(trad.avgLlcLatencyNs, 0),
-             "1.000", TextTable::fmt(trad.avgReadPathLen, 2),
-             "0.000", TextTable::fmt(trad.totalEnergyNj() / 1e6, 1)});
-        for (int i = 0; i < 4; ++i)
-            row(stack);
-        ctx.emit(stack);
-
-        TextTable policy("dummy selection policy " + q_tag);
-        policy.setHeader({"config", "latency_ns", "norm", "path_len",
-                          "dummy/real", "energy_mJ"});
-        for (int i = 0; i < 2; ++i)
-            row(policy);
-        ctx.emit(policy);
-
-        TextTable aging_t("aging threshold " + q_tag);
-        aging_t.setHeader({"config", "latency_ns", "norm",
-                           "path_len", "dummy/real", "energy_mJ"});
-        for (std::size_t i = 0; i < aging.size(); ++i)
-            row(aging_t);
-        ctx.emit(aging_t);
-
-        TextTable layout("DRAM layout " + q_tag);
-        layout.setHeader({"config", "latency_ns", "norm", "path_len",
-                          "dummy/real", "energy_mJ"});
-        for (int i = 0; i < 2; ++i)
-            row(layout);
-        ctx.emit(layout);
-
-        TextTable recursion("hierarchical position map " + q_tag);
-        recursion.setHeader({"config", "latency_ns", "norm",
+        // Each table takes the next `rows` configurations in
+        // declaration order; the first also shows the baseline.
+        const std::pair<std::string, std::size_t> tables[] = {
+            {"technique stack (" + mix + ")", 4},
+            {"dummy selection policy " + q_tag, 2},
+            {"aging threshold " + q_tag, aging.size()},
+            {"DRAM layout " + q_tag, 2},
+            {"hierarchical position map " + q_tag, 3},
+            {"DRAM page policy " + q_tag, 2},
+            {"timing-channel protection " + q_tag, 2},
+            {"Merkle integrity " + q_tag, 2},
+            {"scheduling policy registry (" + mix + ")",
+             policy_names.size()}};
+        std::size_t next = 1;
+        for (const auto &[title, rows] : tables) {
+            TextTable table(title);
+            table.setHeader({"config", "latency_ns", "norm",
                              "path_len", "dummy/real", "energy_mJ"});
-        for (int i = 0; i < 3; ++i)
-            row(recursion);
-        ctx.emit(recursion);
-
-        TextTable paging("DRAM page policy " + q_tag);
-        paging.setHeader({"config", "latency_ns", "norm", "path_len",
-                          "dummy/real", "energy_mJ"});
-        for (int i = 0; i < 2; ++i)
-            row(paging);
-        ctx.emit(paging);
-
-        TextTable timing("timing-channel protection " + q_tag);
-        timing.setHeader({"config", "latency_ns", "norm", "path_len",
-                          "dummy/real", "energy_mJ"});
-        for (int i = 0; i < 2; ++i)
-            row(timing);
-        ctx.emit(timing);
-
-        TextTable integrity("Merkle integrity " + q_tag);
-        integrity.setHeader({"config", "latency_ns", "norm",
-                             "path_len", "dummy/real", "energy_mJ"});
-        for (int i = 0; i < 2; ++i)
-            row(integrity);
-        ctx.emit(integrity);
-
-        TextTable polreg("scheduling policy registry (" + mix + ")");
-        polreg.setHeader({"config", "latency_ns", "norm", "path_len",
-                          "dummy/real", "energy_mJ"});
-        for (std::size_t i = 0; i < policy_names.size(); ++i)
-            row(polreg);
-        ctx.emit(polreg);
+            if (next == 1)
+                table.addRow(
+                    {"traditional",
+                     TextTable::fmt(trad.avgLlcLatencyNs, 0), "1.000",
+                     TextTable::fmt(trad.avgReadPathLen, 2), "0.000",
+                     TextTable::fmt(trad.totalEnergyNj() / 1e6, 1)});
+            for (std::size_t i = 0; i < rows; ++i, ++next)
+                addRow(table, names[next], results[next],
+                       trad.avgLlcLatencyNs);
+            ctx.emit(table);
+        }
     });
 }
 

@@ -48,11 +48,7 @@ void
 registerFig17Scenario()
 {
     sim::registerScenario("fig17", [](sim::ScenarioContext &ctx) {
-        const unsigned mixes_per_point =
-            static_cast<unsigned>(ctx.args.getInt(
-                "samples",
-                static_cast<long long>(
-                    ctx.spec.paramUint("samples", 3))));
+        const unsigned mixes_per_point = ctx.uintFlag("samples", 3);
 
         ctx.banner(
             "Figure 17: thread count and ORAM size sensitivity",

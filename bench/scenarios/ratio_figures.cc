@@ -231,8 +231,10 @@ emitCoreKinds(const sim::ScenarioContext &ctx)
     in_cfg.maxOutstanding = 1;
     const auto queues =
         asUnsigned(ctx.spec.paramUintList("inorder-queues"));
-    RatioFigure fig{.metric = latency,
-                    .baselines = traditional(in_cfg)};
+    RatioFigure fig{
+        .metric = latency,
+        .baselines = {{"in-order traditional",
+                       sim::withTraditional(in_cfg)}}};
     for (unsigned qs : queues)
         fig.series.push_back({"in-order q=" + std::to_string(qs),
                               sim::withMergeOnly(in_cfg, qs)});

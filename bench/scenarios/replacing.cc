@@ -26,14 +26,9 @@ void
 registerReplacingScenario()
 {
     sim::registerScenario("replacing", [](sim::ScenarioContext &ctx) {
-        const auto trials = static_cast<unsigned>(ctx.args.getInt(
-            "trials",
-            static_cast<long long>(
-                ctx.spec.paramUint("trials", 200))));
-        const auto leaf = static_cast<unsigned>(ctx.args.getInt(
-            "leaf-level",
-            static_cast<long long>(
-                ctx.spec.paramUint("leaf-level", 16))));
+        const unsigned trials = ctx.uintFlag("trials", 200);
+        // The override table's leaf-level range.
+        const unsigned leaf = ctx.uintFlag("leaf-level", 16, 4, 40);
 
         ctx.banner("Dummy label replacing window (Section 3.3)",
                    "a real request arriving before the refill passes "

@@ -122,7 +122,6 @@ class MergingAwareCache
 
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
-    std::uint64_t dataHits() const { return dataHits_.value(); }
     std::uint64_t insertions() const { return insertions_.value(); }
     std::uint64_t evictions() const { return evictions_.value(); }
 

@@ -234,8 +234,6 @@ class OramController
     // --- pipeline stage access -------------------------------------------
     AdmissionStage &admission() { return admission_; }
     PathScheduler &scheduler() { return scheduler_; }
-    ReadEngine &readEngine() { return read_; }
-    WritebackEngine &writebackEngine() { return wb_; }
     /** The active scheduling policy (see core/access_policy.hh). */
     const AccessPolicy &policy() const { return scheduler_.policy(); }
 

@@ -89,7 +89,6 @@ class PathScheduler
 
     /** Fork point: first level the next read phase must fetch. */
     unsigned retainedLevels() const { return retainedLevels_; }
-    LeafLabel prevLabel() const { return prevLabel_; }
 
     /** Real work parked in this stage (queue or pending slot). */
     bool realWork() const

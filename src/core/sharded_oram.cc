@@ -44,7 +44,7 @@ ShardedOram::ShardedOram(
         // (controller, label queue, stash, caches, ...) gets an
         // "s<N>." name prefix, keeping interval-stats JSON keys
         // unique across shards in the shared registry.
-        StatNameScope scope("s" + std::to_string(s) + ".");
+        StatNameScope scope(strprintf("s%u.", s));
         shards_[s].ctrl = std::make_unique<OramController>(
             p, eq, *backends[s]);
         shards_[s].ctrl->setRequestIdStream(s + 1, params_.shards);

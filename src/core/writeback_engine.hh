@@ -69,10 +69,6 @@ class WritebackEngine
     {
         return macVictimWrites_;
     }
-    std::uint64_t macVictimWrites() const
-    {
-        return macVictimWrites_.value();
-    }
 
     fp::StatGroup &stats() { return stats_; }
 

@@ -51,7 +51,6 @@ class Channel
     std::uint64_t rowMisses() const { return rowMisses_.value(); }
     std::uint64_t readBursts() const { return readBursts_.value(); }
     std::uint64_t writeBursts() const { return writeBursts_.value(); }
-    std::uint64_t activates() const { return rowMisses_.value(); }
     const fp::Histogram &latency() const { return latency_; }
     fp::StatGroup &stats() { return stats_; }
     void resetStats();

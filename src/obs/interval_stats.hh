@@ -76,7 +76,6 @@ class IntervalStats
     void close();
 
     Tick interval() const { return interval_; }
-    std::uint64_t samplesWritten() const { return samples_; }
 
   private:
     void scheduleNext(EventQueue &eq);

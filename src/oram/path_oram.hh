@@ -113,7 +113,6 @@ class PathOram
     /** Capture per-access bucket traces (off by default). */
     void setTraceEnabled(bool enabled) { traceEnabled_ = enabled; }
     const std::vector<AccessTrace> &trace() const { return trace_; }
-    void clearTrace() { trace_.clear(); }
 
     std::uint64_t accessCount() const { return accesses_.value(); }
     std::uint64_t stashHits() const { return stashHits_.value(); }

@@ -34,11 +34,4 @@ runParsec(SimConfig cfg, const std::string &name)
     return runProfiles(cfg, profiles);
 }
 
-SimConfig
-withRequests(SimConfig cfg, std::uint64_t per_core)
-{
-    cfg.requestsPerCore = per_core;
-    return cfg;
-}
-
 } // namespace fp::sim

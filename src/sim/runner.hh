@@ -29,12 +29,6 @@ RunResult runMix(const SimConfig &cfg, const std::string &mix);
 /** Run a PARSEC workload with cfg.cores threads (shared region). */
 RunResult runParsec(SimConfig cfg, const std::string &name);
 
-/**
- * Scale the per-core request budget so quick harness runs finish in
- * seconds; figure benches expose this through --requests.
- */
-SimConfig withRequests(SimConfig cfg, std::uint64_t per_core);
-
 } // namespace fp::sim
 
 #endif // FP_SIM_RUNNER_HH

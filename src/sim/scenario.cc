@@ -71,12 +71,6 @@ uintOf(const ExperimentSpec &spec, const std::string &key,
 
 } // namespace
 
-bool
-ExperimentSpec::hasParam(const std::string &key) const
-{
-    return findParam(*this, key) != nullptr;
-}
-
 std::uint64_t
 ExperimentSpec::paramUint(const std::string &key) const
 {
@@ -160,15 +154,6 @@ ExperimentSpec::paramStrList(const std::string &key) const
         out.push_back(item.asString());
     }
     return out;
-}
-
-const JsonValue &
-ExperimentSpec::paramNode(const std::string &key) const
-{
-    const JsonValue *v = findParam(*this, key);
-    if (!v)
-        paramFail(*this, key, "required parameter is missing");
-    return *v;
 }
 
 // --- the override key table -----------------------------------------------
@@ -818,6 +803,22 @@ ScenarioContext::pointConfig(const SpecPoint &point) const
     return cfg;
 }
 
+unsigned
+ScenarioContext::uintFlag(const std::string &name, unsigned def,
+                          unsigned lo, unsigned hi) const
+{
+    // Signed, so a negative flag is out of range rather than wrapped.
+    const bool flag = args.has(name);
+    const long long v =
+        flag ? args.getInt(name, def)
+             : static_cast<long long>(spec.paramUint(name, def));
+    if (v < lo || v > hi)
+        specFail(flag ? commandLine : spec.source, spec.params,
+                 strprintf("\"%s\": value %lld out of range [%u, %u]",
+                           name.c_str(), v, lo, hi));
+    return static_cast<unsigned>(v);
+}
+
 void
 ScenarioContext::stamp(RunResult &r) const
 {
@@ -967,13 +968,6 @@ scenarioNames()
     }
     std::sort(names.begin(), names.end());
     return names;
-}
-
-bool
-haveScenario(const std::string &name)
-{
-    return name == "sweep" ||
-           scenarioRegistry().count(name) != 0;
 }
 
 int

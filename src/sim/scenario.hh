@@ -3,7 +3,7 @@
  * The declarative experiment layer: a sim::ExperimentSpec describes a
  * named experiment — base SimConfig overrides, a parameter grid
  * (cross-product axes plus explicit point lists), scenario parameters,
- * output files and baseline-gate metrics — parsed from a JSON spec
+ * output file and CI smoke flags — parsed from a JSON spec
  * file committed under experiments/ (see spec_parse.hh). A Scenario
  * is the registered rendering/wiring code a spec selects by name; the
  * `fp_bench` driver loads a spec, builds a ScenarioContext from it plus
@@ -124,10 +124,6 @@ struct ExperimentSpec
     /** Default --out path for scenarios that write a JSON document. */
     std::string defaultOut;
 
-    /** Metrics the bench-baseline gate pins for this spec (documents
-     *  tools/bench_baseline.py coverage; empty for ungated specs). */
-    std::vector<std::string> gateMetrics;
-
     /** Extra flags the CI smoke lane appends when exercising this
      *  spec (tools/run_experiments.py). */
     std::vector<std::string> smokeArgs;
@@ -141,7 +137,6 @@ struct ExperimentSpec
     // All fatal with the spec file/line on a missing required key or
     // a type mismatch, so scenarios never see half-valid parameters.
 
-    bool hasParam(const std::string &key) const;
     std::uint64_t paramUint(const std::string &key) const;
     std::uint64_t paramUint(const std::string &key,
                             std::uint64_t def) const;
@@ -153,8 +148,6 @@ struct ExperimentSpec
     std::vector<double> paramNumList(const std::string &key) const;
     std::vector<std::string>
     paramStrList(const std::string &key) const;
-    /** Required free-form param node. */
-    const JsonValue &paramNode(const std::string &key) const;
 };
 
 /**
@@ -225,6 +218,15 @@ class ScenarioContext
     SimConfig pointConfig(const SpecPoint &point) const;
 
     /**
+     * A scenario-local integer (a trial or sample count, a probe's
+     * leaf level): --NAME when given, else the spec's params.NAME,
+     * else @p def. Outside [@p lo, @p hi] it is fatal, naming the
+     * flag or the spec line.
+     */
+    unsigned uintFlag(const std::string &name, unsigned def,
+                      unsigned lo = 1, unsigned hi = ~0u) const;
+
+    /**
      * Run every point through a SweepRunner configured by --jobs,
      * forcing the policy override (insecure points excepted), fatal
      * on any failed point, stamping provenance; results come back in
@@ -259,9 +261,6 @@ void registerScenario(const std::string &name, ScenarioFn fn);
 
 /** Every registered scenario name, sorted. */
 std::vector<std::string> scenarioNames();
-
-/** Is @p name a registered scenario? */
-bool haveScenario(const std::string &name);
 
 /**
  * Dispatch @p spec to its scenario with @p args; fatal when the

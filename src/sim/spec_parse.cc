@@ -208,7 +208,7 @@ parseSpecText(const std::string &text, const std::string &path)
     rejectUnknownKeys(src, doc,
                       {"name", "scenario", "description", "mixes",
                        "base", "grid", "points", "params", "output",
-                       "gate", "smoke"},
+                       "smoke"},
                       "spec");
 
     const JsonValue *name = doc.find("name");
@@ -284,18 +284,6 @@ parseSpecText(const std::string &text, const std::string &path)
         if (const JsonValue *out = v->find("out"))
             spec.defaultOut =
                 expectString(src, *out, "output \"out\"");
-    }
-
-    if (const JsonValue *v = doc.find("gate")) {
-        expectObject(src, *v, "\"gate\"");
-        rejectUnknownKeys(src, *v, {"metrics"}, "gate");
-        if (const JsonValue *metrics = v->find("metrics")) {
-            spec.gateMetrics =
-                expectStringList(src, *metrics, "gate \"metrics\"");
-            if (spec.gateMetrics.empty())
-                specFail(src, *metrics,
-                         "gate \"metrics\" must not be empty");
-        }
     }
 
     if (const JsonValue *v = doc.find("smoke")) {

@@ -20,10 +20,12 @@
  *     ],
  *     "params": { "trials": 200 },     // scenario-specific, free-form
  *     "output": { "out": "B.json" },   // default --out path
- *     "gate": { "metrics": ["execution_ticks"] },  // baseline-gate note
- *     "smoke": { "args": ["--trials=20"],          // CI smoke lane
+ *     "smoke": { "args": ["--trials=20"],  // CI smoke lane
  *                "trace": false }      // no Chrome trace to validate
  *   }
+ *
+ * The stdout of every committed spec under its smoke.args is pinned
+ * in experiments/golden/<name>.txt (tools/run_experiments.py).
  *
  * Validation is strict and front-loaded (the satellite requirement):
  * unknown keys at any level, type mismatches, out-of-range values and

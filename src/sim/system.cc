@@ -150,8 +150,7 @@ System::System(const SimConfig &cfg,
     stacks_.resize(cfg_.shards);
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         StackParts &sp = stacks_[s];
-        const std::string prefix =
-            sharded ? "s" + std::to_string(s) + "." : "";
+        const std::string prefix = sharded ? strprintf("s%u.", s) : "";
         // Every StatGroup this shard's stack constructs gets the
         // "s<N>." name prefix (the dispatcher prefixes its controller
         // stacks the same way), keeping interval-stats keys unique.

@@ -62,8 +62,6 @@ class System
     core::ShardedOram *sharded() { return sharded_.get(); }
     /** Null unless cfg.obs.traceOut was set. */
     obs::Tracer *tracer() { return tracer_.get(); }
-    /** Null unless cfg.obs.statsOut was set. */
-    obs::IntervalStats *intervalStats() { return intervalStats_.get(); }
     /** Stack s's lifecycle profiler; null unless per-request
      *  profiling is on (and not insecure: the profiler follows ORAM
      *  pipeline milestones). A sharded run's rollup lands in the

@@ -1,6 +1,5 @@
 #include "util/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -11,7 +10,6 @@ namespace fp
 namespace
 {
 
-std::atomic<bool> verboseEnabled{true};
 thread_local bool recoverableFailures = false;
 
 std::string
@@ -75,34 +73,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
         throw SimFailure(full);
     std::fprintf(stderr, "%s\n", full.c_str());
     std::exit(1);
-}
-
-void
-warnImpl(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrprintf(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    if (!verboseEnabled)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    std::string msg = vstrprintf(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-setVerbose(bool verbose)
-{
-    verboseEnabled = verbose;
 }
 
 std::string

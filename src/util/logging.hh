@@ -6,9 +6,6 @@
  *              aborts so a core dump / debugger can inspect state.
  *  - fatal():  the user asked for something impossible (bad
  *              configuration); exits with status 1.
- *  - warn():   something is probably not what the user intended but
- *              the simulation can continue.
- *  - inform(): plain status output.
  *
  * All functions accept printf-style format strings.
  */
@@ -68,17 +65,6 @@ bool recoverableFailuresEnabled();
                             const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 
-/** Print "warn: ..." to stderr. */
-void warnImpl(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Print "info: ..." to stderr. */
-void informImpl(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-/** Enable/disable inform() output globally (benches silence it). */
-void setVerbose(bool verbose);
-
 /** printf-style formatting into a std::string. */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
@@ -87,8 +73,6 @@ std::string strprintf(const char *fmt, ...)
 
 #define fp_panic(...) ::fp::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
 #define fp_fatal(...) ::fp::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-#define fp_warn(...) ::fp::warnImpl(__VA_ARGS__)
-#define fp_inform(...) ::fp::informImpl(__VA_ARGS__)
 
 /**
  * Invariant check that stays on in release builds. Use for conditions

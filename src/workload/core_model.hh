@@ -91,9 +91,6 @@ class CoreModel
         return stream_.profile();
     }
 
-    /** Called by the owner when all cores finish (optional hook). */
-    void setOnDone(std::function<void()> fn) { onDone_ = std::move(fn); }
-
   private:
     void tryIssue();
     void scheduleTry(Tick when);
@@ -110,7 +107,6 @@ class CoreModel
     Tick nextIssueAt_ = 0;
     bool tryScheduled_ = false;
     Tick finishTick_ = 0;
-    std::function<void()> onDone_;
 
     fp::Histogram missLatency_;
 };

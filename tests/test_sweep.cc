@@ -46,8 +46,8 @@ twelvePoints()
     for (unsigned i = 0; i < 12; ++i) {
         auto cfg = i % 2 ? withMergeOnly(smallConfig(100 + i), 8)
                          : withTraditional(smallConfig(100 + i));
-        points.push_back(pointFromProfiles(
-            "p" + std::to_string(i), cfg, twoCoreProfiles()));
+        points.push_back(
+            pointFromProfiles(strprintf("p%u", i), cfg, twoCoreProfiles()));
     }
     return points;
 }
