@@ -225,11 +225,10 @@ def main():
             if future.cancelled():
                 continue
             report, stdout = future.result()
-            if stdout is not None:
-                report += golden(run[0], stdout, golden_dir,
-                                 args.update_golden)
-            print("\n".join(report), flush=True)
-            if stdout is None or len(report) > 1:
+            mismatch = [] if stdout is None else golden(
+                run[0], stdout, golden_dir, args.update_golden)
+            print("\n".join(report + mismatch), flush=True)
+            if stdout is None or mismatch:
                 failures.append(run[0])
                 if not args.keep_going:
                     pool.shutdown(cancel_futures=True)
