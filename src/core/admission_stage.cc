@@ -4,7 +4,6 @@
 #include "core/plb.hh"
 #include "obs/request_profiler.hh"
 #include "oram/integrity.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace fp::core
@@ -48,8 +47,6 @@ AdmissionStage::pump(bool pipeline_busy)
         if (ctx_.params.oram.stashShortcut) {
             if (mem::Block *blk = ctx_.stash.find(e->addr)) {
                 stashShortcuts_.inc();
-                if (ctx_.prof)
-                    ctx_.prof->countStashShortcut();
                 if (ctx_.traceOn())
                     ctx_.trc->instant(
                         obs::Track::cache, "stash_shortcut",
@@ -136,9 +133,6 @@ AdmissionStage::tryMacDataHit(AddressEntry &entry)
             fp_assert(rest != nullptr, "MAC hit bucket vanished");
             ctx_.merkle->updateBucket(idx, *rest);
         }
-        fp_dtrace(cache, "MAC data hit addr=%llu at level %u",
-                  static_cast<unsigned long long>(entry.addr),
-                  level);
         blk->leaf = ctx_.posMap.remap(entry.addr);
         std::vector<std::uint8_t> data = blk->payload;
         if (entry.op == oram::Op::write)

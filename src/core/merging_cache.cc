@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/request_profiler.hh"
 #include "util/logging.hh"
 
 namespace fp::core
@@ -145,9 +144,6 @@ MergingAwareCache::extractBlock(BucketIndex idx, BlockAddr addr)
         }
         line.bucket = std::move(rest);
         if (found) {
-            dataHits_.inc();
-            if (prof_)
-                prof_->countMacDataHit();
             line.lastUse = ++useClock_;
             if (trc_ && trc_->on(obs::TraceLevel::access))
                 trc_->instant(obs::Track::cache, "mac_data_hit",
@@ -191,8 +187,6 @@ MergingAwareCache::insert(BucketIndex idx, mem::Bucket bucket)
                 return a.lastUse < b.lastUse;
             });
         evictions_.inc();
-        if (prof_)
-            prof_->countCacheVictim();
         if (trc_ && trc_->on(obs::TraceLevel::access))
             trc_->instant(obs::Track::cache, "mac_evict",
                           {obs::TraceArg::num("victim", dest->tag),

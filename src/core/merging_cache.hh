@@ -41,11 +41,6 @@
 #include "obs/tracer.hh"
 #include "util/stats.hh"
 
-namespace fp::obs
-{
-class RequestProfiler;
-} // namespace fp::obs
-
 namespace fp::core
 {
 
@@ -128,9 +123,6 @@ class MergingAwareCache
     /** Attach the event tracer (cache hit/miss/eviction track). */
     void setTracer(obs::Tracer *tracer) { trc_ = tracer; }
 
-    /** Attach the request profiler (data-hit / victim accounting). */
-    void setProfiler(obs::RequestProfiler *prof) { prof_ = prof; }
-
   private:
     struct Line
     {
@@ -153,13 +145,11 @@ class MergingAwareCache
     std::vector<std::vector<Line>> sets_;
     std::uint64_t useClock_ = 0;
     obs::Tracer *trc_ = nullptr;
-    obs::RequestProfiler *prof_ = nullptr;
 
     fp::Counter hits_;
     fp::Counter misses_;
     fp::Counter insertions_;
     fp::Counter evictions_;
-    fp::Counter dataHits_;
 };
 
 } // namespace fp::core

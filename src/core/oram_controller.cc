@@ -4,7 +4,6 @@
 
 #include "core/overlap.hh"
 #include "obs/request_profiler.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace fp::core
@@ -120,15 +119,6 @@ OramController::OramController(const ControllerParams &params,
         "addr_queue_depth",
         [this] { return double(admission_.queue().size()); },
         "entries in the address queue");
-
-    setDebugTickSource(eq_.nowPtr());
-}
-
-OramController::~OramController()
-{
-    // Drop the thread's debug clock only if it still points at our
-    // event queue (a later-constructed System may have replaced it).
-    clearDebugTickSource(eq_.nowPtr());
 }
 
 void
@@ -159,8 +149,6 @@ OramController::setProfiler(obs::RequestProfiler *prof)
     ctx_.prof = prof;
     scheduler_.labelQueue().setProfiler(prof);
     stash_.setProfiler(prof);
-    if (mac_)
-        mac_->setProfiler(prof);
 }
 
 bool
@@ -403,8 +391,6 @@ OramController::onReadDone()
         // Lazy refill: hold the dummy's write phase until there is a
         // real request to merge it with (resumed by
         // maybeStartBackend on the next arrival).
-        fp_dtrace(oram, "park  label=%llu awaiting real work",
-                  static_cast<unsigned long long>(current_->label));
         if (ctx_.traceOn())
             ctx_.trc->instant(
                 obs::Track::controller, "park",
@@ -442,9 +428,8 @@ OramController::onWriteDone()
     else
         realAccesses_.inc();
     if (ctx_.prof) {
-        ctx_.prof->onAccessDone(current_->dummy, read_.startLevel(),
-                                wb_.stopLevel(), geo_.numLevels(),
-                                read_.dramBuckets(),
+        ctx_.prof->onAccessDone(read_.startLevel(), wb_.stopLevel(),
+                                geo_.numLevels(), read_.dramBuckets(),
                                 wb_.dramBuckets());
     }
 

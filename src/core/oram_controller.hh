@@ -98,7 +98,6 @@ class OramController
      *  every production configuration uses). */
     OramController(const ControllerParams &params, EventQueue &eq,
                    mem::MemoryBackend &backend);
-    ~OramController();
 
     /** True if a new LLC request can be accepted right now. */
     bool canAccept() const;
@@ -184,6 +183,11 @@ class OramController
     {
         return read_.onChipBucketReads();
     }
+    /** MAC victims the refills wrote back to the backend. */
+    std::uint64_t macVictimWrites() const
+    {
+        return wb_.macVictimWritesStat().value();
+    }
     /** Total tree levels skipped by path merging (summed forks). */
     std::uint64_t mergedLevelsSkipped() const
     {
@@ -258,8 +262,8 @@ class OramController
 
     /**
      * Attach the per-request lifecycle profiler; fans out to the
-     * label queue, stash, and MAC (the backend is wired separately by
-     * the System, which owns both sides of that seam). Null detaches.
+     * label queue and stash (the backend is wired separately by the
+     * System, which owns both sides of that seam). Null detaches.
      */
     void setProfiler(obs::RequestProfiler *prof);
 

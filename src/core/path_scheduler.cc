@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/request_profiler.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace fp::core
@@ -65,11 +63,6 @@ PathScheduler::scheduleWriteback(const ActiveAccess &cur)
         stop = std::min<unsigned>(
             ctx_.geo.overlap(cur.label, pending_->label),
             ctx_.geo.numLevels());
-        fp_dtrace(sched,
-                  "pending label=%llu%s overlap=%u (queue real=%zu)",
-                  static_cast<unsigned long long>(pending_->label),
-                  pending_->dummy ? " (dummy)" : "", stop,
-                  labelQueue_.realCount());
     } else {
         pending_.reset();
         stop = 0;
@@ -109,16 +102,10 @@ PathScheduler::tryReplaceOrSwap(
     }
 
     if (pending_->dummy) {
-        fp_dtrace(sched,
-                  "replace dummy pending with label=%llu (k=%u)",
-                  static_cast<unsigned long long>(incoming.label),
-                  k_in);
         pending_ = incoming;
         wb_.setStopLevel(
             std::min<unsigned>(k_in, ctx_.geo.numLevels()));
         dummyReplacements_.inc();
-        if (ctx_.prof)
-            ctx_.prof->countWritebackReplaced();
         // Case 1: a not-yet-committed padding dummy gives its slot
         // to the late-arriving real request.
         if (ctx_.traceOn())
@@ -141,8 +128,6 @@ PathScheduler::tryReplaceOrSwap(
         wb_.setStopLevel(
             std::min<unsigned>(k_in, ctx_.geo.numLevels()));
         pendingSwaps_.inc();
-        if (ctx_.prof)
-            ctx_.prof->countPendingSwap();
         // Case 3: a real pending is displaced by a better-overlapping
         // real newcomer and rejoins the pool.
         if (ctx_.traceOn())

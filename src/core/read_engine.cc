@@ -4,7 +4,6 @@
 #include "obs/request_profiler.hh"
 #include "oram/integrity.hh"
 #include "oram/treetop_cache.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace fp::core
@@ -39,9 +38,6 @@ ReadEngine::start(const ActiveAccess &acc, unsigned start_level,
         for (unsigned l = 0; l < startLevel_; ++l)
             ++mergeSkipsPerLevel_[l];
     }
-    fp_dtrace(oram, "read  label=%llu start_level=%u%s",
-              static_cast<unsigned long long>(acc_.label),
-              startLevel_, acc_.dummy ? " (dummy)" : "");
     if (ctx_.prof && !acc_.dummy &&
         acc_.chainIndex == ctx_.params.recursionDepth)
         ctx_.prof->onReadStart(acc_.llcId);
@@ -73,8 +69,6 @@ ReadEngine::readBucketAt(unsigned level)
             integrityRead_[level] = bucket;
         ingestBucket(std::move(bucket));
         onChipBucketReads_.inc();
-        if (ctx_.prof)
-            ctx_.prof->countOnChipRead();
         return;
     }
     if (ctx_.mac && ctx_.mac->inRange(level)) {
@@ -83,8 +77,6 @@ ReadEngine::readBucketAt(unsigned level)
                 integrityRead_[level] = *bucket;
             ingestBucket(std::move(*bucket));
             onChipBucketReads_.inc();
-            if (ctx_.prof)
-                ctx_.prof->countOnChipRead();
             return;
         }
     }

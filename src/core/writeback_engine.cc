@@ -4,7 +4,6 @@
 #include "obs/request_profiler.hh"
 #include "oram/integrity.hh"
 #include "oram/treetop_cache.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace fp::core
@@ -40,8 +39,6 @@ WritebackEngine::start(const ActiveAccess &acc, unsigned stop_level,
     stopLevel_ = stop_level;
     refills_.inc();
 
-    fp_dtrace(oram, "write label=%llu stop_level=%u",
-              static_cast<unsigned long long>(label_), stopLevel_);
     nextLevel_ = static_cast<int>(ctx_.geo.leafLevel());
     pump();
 }

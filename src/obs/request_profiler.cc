@@ -31,11 +31,10 @@ RequestProfiler::RequestProfiler(const Tick *now,
       backendReadNs_(kStageBuckets, kStageWidthNs),
       backendWriteNs_(kStageBuckets, kStageWidthNs),
       labelResidencyNs_(kStageBuckets, kStageWidthNs),
-      evictPerBucket_(16, 1.0),
+      evictPerBucket_(16, 1.0), bucketBytes_(bucket_bytes),
       stats_("request_profiler")
 {
     fp_assert(now_ != nullptr, "RequestProfiler: null clock");
-    eff_.bucketBytes = bucket_bytes;
     stats_.regCounter("completed_requests", completed_,
                       "LLC requests with a full lifecycle record");
     stats_.regHistogram("addr_queue_ns", addrQueueNs_,
@@ -58,24 +57,12 @@ RequestProfiler::RequestProfiler(const Tick *now,
                         "real label wait in the label queue");
     stats_.regHistogram("evict_per_bucket", evictPerBucket_,
                         "stash blocks evicted per refilled bucket");
-    stats_.regCounter("merged_accesses", cMerged_,
+    stats_.regCounter("merged_accesses", merged_,
                       "accesses whose read started above level 0");
-    stats_.regCounter("read_levels_skipped", cReadSkipped_,
+    stats_.regCounter("read_levels_skipped", readSkipped_,
                       "path-read levels elided by merging");
-    stats_.regCounter("write_levels_elided", cWriteElided_,
+    stats_.regCounter("write_levels_elided", writeElided_,
                       "refill levels elided by early stop");
-    stats_.regCounter("writebacks_replaced", cReplaced_,
-                      "dummy refill slots handed to real accesses");
-    stats_.regCounter("pending_swaps", cSwaps_,
-                      "real label swapped into the pending slot");
-    stats_.regCounter("onchip_bucket_reads", cOnChip_,
-                      "bucket reads served by treetop/MAC");
-    stats_.regCounter("mac_data_hits", cMacData_,
-                      "requests answered from the merging cache");
-    stats_.regCounter("cache_victim_writes", cVictims_,
-                      "MAC victims written back to the backend");
-    stats_.regCounter("stash_shortcuts", cShortcuts_,
-                      "requests answered from the stash");
 }
 
 void
@@ -213,69 +200,36 @@ RequestProfiler::sampleEvictedPerBucket(std::size_t blocks)
 }
 
 void
-RequestProfiler::onAccessDone(bool dummy, unsigned read_start_level,
+RequestProfiler::onAccessDone(unsigned read_start_level,
                               unsigned write_stop_level,
                               unsigned num_levels,
                               unsigned backend_buckets_read,
                               unsigned backend_buckets_written)
 {
-    ++eff_.totalAccesses;
-    if (read_start_level > 0) {
-        ++eff_.mergedAccesses;
-        cMerged_.inc();
-    }
-    eff_.readLevelsSkipped += read_start_level;
-    cReadSkipped_.inc(read_start_level);
-    eff_.writeLevelsElided += write_stop_level;
-    cWriteElided_.inc(write_stop_level);
+    accesses_.inc();
+    if (read_start_level > 0)
+        merged_.inc();
+    readSkipped_.inc(read_start_level);
+    writeElided_.inc(write_stop_level);
     // The naive baseline reads and refills the full path every
     // access; dummies included, since a traditional ORAM cannot skip
     // them either.
-    eff_.naivePathBuckets += 2ull * num_levels;
-    eff_.backendBuckets += backend_buckets_read + backend_buckets_written;
-    (void)dummy;
+    naiveBuckets_.inc(2ull * num_levels);
+    backendBuckets_.inc(backend_buckets_read + backend_buckets_written);
 }
 
-void
-RequestProfiler::countWritebackReplaced()
+ProfileEffectiveness
+RequestProfiler::effectiveness() const
 {
-    ++eff_.writebacksReplaced;
-    cReplaced_.inc();
-}
-
-void
-RequestProfiler::countPendingSwap()
-{
-    ++eff_.pendingSwaps;
-    cSwaps_.inc();
-}
-
-void
-RequestProfiler::countStashShortcut()
-{
-    ++eff_.stashShortcuts;
-    cShortcuts_.inc();
-}
-
-void
-RequestProfiler::countOnChipRead()
-{
-    ++eff_.onChipBucketReads;
-    cOnChip_.inc();
-}
-
-void
-RequestProfiler::countMacDataHit()
-{
-    ++eff_.macDataHits;
-    cMacData_.inc();
-}
-
-void
-RequestProfiler::countCacheVictim()
-{
-    ++eff_.cacheVictimWrites;
-    cVictims_.inc();
+    ProfileEffectiveness eff;
+    eff.totalAccesses = accesses_.value();
+    eff.mergedAccesses = merged_.value();
+    eff.readLevelsSkipped = readSkipped_.value();
+    eff.writeLevelsElided = writeElided_.value();
+    eff.naivePathBuckets = naiveBuckets_.value();
+    eff.backendBuckets = backendBuckets_.value();
+    eff.bucketBytes = bucketBytes_;
+    return eff;
 }
 
 void
@@ -285,11 +239,11 @@ RequestProfiler::merge(const RequestProfiler &other)
               "RequestProfiler::merge: source still has %zu open "
               "requests",
               other.open_.size());
-    fp_assert(eff_.bucketBytes == other.eff_.bucketBytes,
+    fp_assert(bucketBytes_ == other.bucketBytes_,
               "RequestProfiler::merge: bucket size mismatch "
               "(%llu vs %llu)",
-              static_cast<unsigned long long>(eff_.bucketBytes),
-              static_cast<unsigned long long>(other.eff_.bucketBytes));
+              static_cast<unsigned long long>(bucketBytes_),
+              static_cast<unsigned long long>(other.bucketBytes_));
 
     addrQueueNs_.merge(other.addrQueueNs_);
     labelQueueNs_.merge(other.labelQueueNs_);
@@ -307,28 +261,12 @@ RequestProfiler::merge(const RequestProfiler &other)
                         other.records_.end());
 
     completed_.inc(other.completed_.value());
-    cMerged_.inc(other.cMerged_.value());
-    cReadSkipped_.inc(other.cReadSkipped_.value());
-    cWriteElided_.inc(other.cWriteElided_.value());
-    cReplaced_.inc(other.cReplaced_.value());
-    cSwaps_.inc(other.cSwaps_.value());
-    cOnChip_.inc(other.cOnChip_.value());
-    cMacData_.inc(other.cMacData_.value());
-    cVictims_.inc(other.cVictims_.value());
-    cShortcuts_.inc(other.cShortcuts_.value());
-
-    eff_.totalAccesses += other.eff_.totalAccesses;
-    eff_.mergedAccesses += other.eff_.mergedAccesses;
-    eff_.readLevelsSkipped += other.eff_.readLevelsSkipped;
-    eff_.writeLevelsElided += other.eff_.writeLevelsElided;
-    eff_.writebacksReplaced += other.eff_.writebacksReplaced;
-    eff_.pendingSwaps += other.eff_.pendingSwaps;
-    eff_.onChipBucketReads += other.eff_.onChipBucketReads;
-    eff_.macDataHits += other.eff_.macDataHits;
-    eff_.cacheVictimWrites += other.eff_.cacheVictimWrites;
-    eff_.stashShortcuts += other.eff_.stashShortcuts;
-    eff_.naivePathBuckets += other.eff_.naivePathBuckets;
-    eff_.backendBuckets += other.eff_.backendBuckets;
+    accesses_.inc(other.accesses_.value());
+    merged_.inc(other.merged_.value());
+    readSkipped_.inc(other.readSkipped_.value());
+    writeElided_.inc(other.writeElided_.value());
+    naiveBuckets_.inc(other.naiveBuckets_.value());
+    backendBuckets_.inc(other.backendBuckets_.value());
 }
 
 const std::vector<std::string> &
@@ -391,7 +329,7 @@ RequestProfiler::stageSummaries() const
 }
 
 std::string
-RequestProfiler::reportJson() const
+RequestProfiler::reportJson(const ProfileEffectiveness &eff) const
 {
     JsonWriter w;
     w.beginObject();
@@ -421,21 +359,21 @@ RequestProfiler::reportJson() const
     }
     w.endArray();
     w.key("effectiveness").beginObject();
-    w.field("total_accesses", eff_.totalAccesses)
-        .field("merged_accesses", eff_.mergedAccesses)
-        .field("read_levels_skipped", eff_.readLevelsSkipped)
-        .field("write_levels_elided", eff_.writeLevelsElided)
-        .field("writebacks_replaced", eff_.writebacksReplaced)
-        .field("pending_swaps", eff_.pendingSwaps)
-        .field("onchip_bucket_reads", eff_.onChipBucketReads)
-        .field("mac_data_hits", eff_.macDataHits)
-        .field("cache_victim_writes", eff_.cacheVictimWrites)
-        .field("stash_shortcuts", eff_.stashShortcuts)
-        .field("naive_path_buckets", eff_.naivePathBuckets)
-        .field("backend_buckets", eff_.backendBuckets)
-        .field("bucket_bytes", eff_.bucketBytes)
-        .field("buckets_saved", eff_.bucketsSaved())
-        .field("bytes_saved", eff_.bytesSaved());
+    w.field("total_accesses", eff.totalAccesses)
+        .field("merged_accesses", eff.mergedAccesses)
+        .field("read_levels_skipped", eff.readLevelsSkipped)
+        .field("write_levels_elided", eff.writeLevelsElided)
+        .field("writebacks_replaced", eff.writebacksReplaced)
+        .field("pending_swaps", eff.pendingSwaps)
+        .field("onchip_bucket_reads", eff.onChipBucketReads)
+        .field("mac_data_hits", eff.macDataHits)
+        .field("cache_victim_writes", eff.cacheVictimWrites)
+        .field("stash_shortcuts", eff.stashShortcuts)
+        .field("naive_path_buckets", eff.naivePathBuckets)
+        .field("backend_buckets", eff.backendBuckets)
+        .field("bucket_bytes", eff.bucketBytes)
+        .field("buckets_saved", eff.bucketsSaved())
+        .field("bytes_saved", eff.bytesSaved());
     w.endObject();
     w.endObject();
     return w.str();

@@ -9,9 +9,12 @@
  * This profiler stamps every LLC request with a tick timestamp at
  * each pipeline milestone, folds the resulting spans into per-stage
  * latency histograms (p50/p95/p99/p99.9 via interpolated quantiles),
- * and keeps fork-path effectiveness counters with a derived
- * bytes-saved figure against a naive Path ORAM baseline that would
- * read and refill the full path on every access.
+ * and counts the revealed shape of every finished access, from which
+ * the effectiveness block derives a bytes-saved figure against a
+ * naive Path ORAM baseline that would read and refill the full path
+ * on every access. The block's pipeline-event counts (replacements,
+ * swaps, on-chip reads, ...) are not kept here: each has one owner,
+ * the stage counter that counts it, and sim::System fills them in.
  *
  * Milestones (monotonic per request):
  *
@@ -85,7 +88,13 @@ struct ProfileStageSummary
     double p999Ns = 0.0;
 };
 
-/** Fork-path effectiveness accounting, fed once per ORAM access. */
+/**
+ * Fork-path effectiveness accounting. The shape counts (accesses,
+ * merges, levels skipped/elided, buckets) come from the profiler,
+ * once per finished access; the six pipeline-event counts
+ * (writebacksReplaced through stashShortcuts) from the controllers'
+ * stage counters, filled in by sim::System.
+ */
 struct ProfileEffectiveness
 {
     std::uint64_t totalAccesses = 0;   //!< real + dummy accesses run
@@ -156,22 +165,17 @@ class RequestProfiler
 
     /** One finished ORAM access (real or dummy) with its revealed
      *  shape and the backend buckets it actually moved. */
-    void onAccessDone(bool dummy, unsigned read_start_level,
+    void onAccessDone(unsigned read_start_level,
                       unsigned write_stop_level, unsigned num_levels,
                       unsigned backend_buckets_read,
                       unsigned backend_buckets_written);
 
-    void countWritebackReplaced();
-    void countPendingSwap();
-    void countStashShortcut();
-    void countOnChipRead();
-    void countMacDataHit();
-    void countCacheVictim();
-
     // --- results --------------------------------------------------------
     std::uint64_t completed() const { return completed_.value(); }
     std::uint64_t openRequests() const { return open_.size(); }
-    const ProfileEffectiveness &effectiveness() const { return eff_; }
+    /** The shape counts of every finished access; the pipeline-event
+     *  fields are zero (their owners are the stage counters). */
+    ProfileEffectiveness effectiveness() const;
     const std::vector<RequestRecord> &records() const
     {
         return records_;
@@ -188,15 +192,16 @@ class RequestProfiler
 
     /**
      * Full profile document (--profile-out): stage summaries with
-     * their histogram buckets plus the effectiveness block, as one
-     * JSON object. tools/report.py renders it as a dashboard.
+     * their histogram buckets plus @p eff as the effectiveness block
+     * (effectiveness() with the pipeline-event fields filled in), as
+     * one JSON object. tools/report.py renders it as a dashboard.
      */
-    std::string reportJson() const;
+    std::string reportJson(const ProfileEffectiveness &eff) const;
 
     /**
      * Fold @p other in, as if its requests had been profiled here:
      * every stage histogram is merged bucket-wise, the completed
-     * count and all effectiveness counters are summed. @p other must
+     * count and all shape counts are summed. @p other must
      * be drained (no open requests) and share this profiler's bucket
      * size. This is how sim::System rolls the per-shard profilers of
      * a core::ShardedOram up into the single forkpath-profile-v1
@@ -239,17 +244,15 @@ class RequestProfiler
     fp::Histogram labelResidencyNs_;
     fp::Histogram evictPerBucket_;
 
-    ProfileEffectiveness eff_;
     fp::Counter completed_;
-    fp::Counter cMerged_;
-    fp::Counter cReadSkipped_;
-    fp::Counter cWriteElided_;
-    fp::Counter cReplaced_;
-    fp::Counter cSwaps_;
-    fp::Counter cOnChip_;
-    fp::Counter cMacData_;
-    fp::Counter cVictims_;
-    fp::Counter cShortcuts_;
+    // Shape counts, taken once per finished access (onAccessDone).
+    fp::Counter accesses_;
+    fp::Counter merged_;
+    fp::Counter readSkipped_;
+    fp::Counter writeElided_;
+    fp::Counter naiveBuckets_;
+    fp::Counter backendBuckets_;
+    std::uint64_t bucketBytes_;
     fp::StatGroup stats_;
 };
 

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "util/bitops.hh"
-#include "util/debug.hh"
 #include "util/logging.hh"
 
 namespace fp::sim
@@ -125,11 +124,6 @@ System::System(const SimConfig &cfg,
     // thread's current registry for the duration of construction.
     StatRegistry::Scope stat_scope(registry_);
 
-    // Debug lines from this System's components are prefixed with
-    // this event queue's clock (thread-local, so concurrent Systems
-    // on worker threads each see their own clock).
-    setDebugTickSource(eq_.nowPtr());
-
     if (cfg_.obs.traceEnabled()) {
         tracer_ = std::make_unique<obs::Tracer>(
             cfg_.obs.traceOut, cfg_.obs.traceLevel, eq_.nowPtr());
@@ -235,11 +229,6 @@ System::System(const SimConfig &cfg,
     }
 }
 
-System::~System()
-{
-    clearDebugTickSource(eq_.nowPtr());
-}
-
 core::OramController &
 System::controllerOf(unsigned s) const
 {
@@ -326,6 +315,9 @@ System::run(Tick limit)
         r.executionTicks = std::max(r.executionTicks, eq_.now());
     }
 
+    // Stage counters the profile's effectiveness block reports next
+    // to dummyReplacements, pendingSwaps and stashShortcuts.
+    std::uint64_t onchip_reads = 0, mac_data_hits = 0, victim_writes = 0;
     if (ctrl_ || sharded_) {
         // Aggregation over the controllers. Histograms and Averages
         // merge (so means weight shards by how many accesses each
@@ -348,6 +340,9 @@ System::run(Tick limit)
             r.pendingSwaps += sc.pendingSwaps();
             r.mergedLevelsSkipped += sc.mergedLevelsSkipped();
             r.stashShortcuts += sc.stashShortcuts();
+            onchip_reads += sc.onChipBucketReads();
+            mac_data_hits += sc.admission().macDataHits();
+            victim_writes += sc.macVictimWrites();
 
             const auto &per_level = sc.mergeSkipsPerLevel();
             if (skips.size() < per_level.size())
@@ -463,14 +458,23 @@ System::run(Tick limit)
         r.profiled = true;
         r.profiledRequests = prof->completed();
         r.profileStages = prof->stageSummaries();
-        r.profileEffectiveness = prof->effectiveness();
+        // The profiler counts the access shapes; each pipeline event
+        // is counted once, by its stage, and summed above.
+        obs::ProfileEffectiveness &eff = r.profileEffectiveness;
+        eff = prof->effectiveness();
+        eff.writebacksReplaced = r.dummyReplacements;
+        eff.pendingSwaps = r.pendingSwaps;
+        eff.stashShortcuts = r.stashShortcuts;
+        eff.onChipBucketReads = onchip_reads;
+        eff.macDataHits = mac_data_hits;
+        eff.cacheVictimWrites = victim_writes;
         if (!cfg_.obs.profileOut.empty()) {
             std::ofstream out(cfg_.obs.profileOut);
             if (!out) {
                 fp_fatal("cannot open --profile-out file '%s'",
                          cfg_.obs.profileOut.c_str());
             }
-            out << prof->reportJson() << '\n';
+            out << prof->reportJson(eff) << '\n';
         }
     }
 

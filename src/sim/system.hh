@@ -36,7 +36,6 @@ class System
      */
     System(const SimConfig &cfg,
            std::vector<workload::WorkloadProfile> profiles);
-    ~System();
 
     /**
      * Run until every core finishes its request budget, or until the

@@ -11,7 +11,6 @@
 #include "dram/dram_backend.hh"
 #include "dram/dram_system.hh"
 #include "sim/metrics.hh"
-#include "util/debug.hh"
 #include "util/json.hh"
 #include "util/random.hh"
 
@@ -251,20 +250,6 @@ TEST(LineInterleave, DistinctAddressesDistinctLocations)
         seen;
     for (Addr a = 0; a < 1 << 16; a += 64)
         EXPECT_TRUE(seen.insert(key(a)).second) << a;
-}
-
-// --- debug tracing -----------------------------------------------------------
-
-TEST(DebugTrace, CategoriesParse)
-{
-    setDebugCategories("oram,dram");
-    EXPECT_TRUE(debugEnabled(DebugCat::oram));
-    EXPECT_TRUE(debugEnabled(DebugCat::dram));
-    EXPECT_FALSE(debugEnabled(DebugCat::sched));
-    setDebugCategories("all");
-    EXPECT_TRUE(debugEnabled(DebugCat::cache));
-    setDebugCategories("");
-    EXPECT_FALSE(debugEnabled(DebugCat::oram));
 }
 
 // --- JSON -----------------------------------------------------------------

@@ -458,9 +458,9 @@ TEST(Profiler, EffectivenessMatchesIndependentCounts)
     sim::System sys(cfg, profiles(cfg.cores));
     ASSERT_NE(sys.controller(), nullptr);
     sys.controller()->setRevealTraceEnabled(true);
-    sys.run();
+    const sim::RunResult r = sys.run();
 
-    const auto &eff = sys.profiler()->effectiveness();
+    const obs::ProfileEffectiveness &eff = r.profileEffectiveness;
     const auto &reveal = sys.controller()->revealTrace();
     ASSERT_FALSE(reveal.empty());
 
@@ -478,14 +478,27 @@ TEST(Profiler, EffectivenessMatchesIndependentCounts)
     EXPECT_EQ(eff.writeLevelsElided, write_elided);
     EXPECT_EQ(eff.mergedAccesses, merged);
 
-    // Counters mirrored from the controller must agree exactly.
-    EXPECT_EQ(eff.writebacksReplaced,
-              sys.controller()->dummyReplacements());
-    EXPECT_EQ(eff.pendingSwaps, sys.controller()->pendingSwaps());
-    EXPECT_EQ(eff.stashShortcuts, sys.controller()->stashShortcuts());
+    // The shape counts are the profiler's own.
+    const obs::ProfileEffectiveness shape =
+        sys.profiler()->effectiveness();
+    EXPECT_EQ(eff.totalAccesses, shape.totalAccesses);
+    EXPECT_EQ(eff.naivePathBuckets, shape.naivePathBuckets);
+    EXPECT_EQ(eff.backendBuckets, shape.backendBuckets);
+
+    // The six pipeline-event fields are the stage counters. The
+    // config has a MAC, so the cache fields are exercised too.
+    core::OramController &ctrl = *sys.controller();
+    EXPECT_EQ(eff.writebacksReplaced, ctrl.dummyReplacements());
+    EXPECT_EQ(eff.pendingSwaps, ctrl.pendingSwaps());
+    EXPECT_EQ(eff.stashShortcuts, ctrl.stashShortcuts());
+    EXPECT_EQ(eff.onChipBucketReads, ctrl.onChipBucketReads());
+    EXPECT_EQ(eff.macDataHits, ctrl.admission().macDataHits());
+    EXPECT_EQ(eff.cacheVictimWrites, ctrl.macVictimWrites());
+    ASSERT_NE(ctrl.mac(), nullptr);
+    EXPECT_GT(eff.onChipBucketReads, 0u);
+    EXPECT_GT(eff.cacheVictimWrites, 0u);
     // Reads can outrun finished writes, never the other way round.
-    EXPECT_LE(eff.readLevelsSkipped,
-              sys.controller()->mergedLevelsSkipped());
+    EXPECT_LE(eff.readLevelsSkipped, ctrl.mergedLevelsSkipped());
 
     // The naive baseline is 2L buckets per access, by construction.
     const unsigned L = sys.controller()->geometry().numLevels();

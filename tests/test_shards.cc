@@ -287,6 +287,10 @@ TEST(ShardedSystem, AggregationEqualsPerShardSums)
 {
     sim::SimConfig cfg = shardedConfig(3);
     cfg.obs.profileRequests = true;
+    // A MAC per shard, so the cache fields of the profile sum
+    // something.
+    cfg.controller.cachePolicy = core::CachePolicy::mac;
+    cfg.controller.cacheBudgetBytes = 16 << 10;
     sim::System sys(cfg, workload::mixProfiles("Mix3"));
     sim::RunResult r = sys.run();
 
@@ -297,6 +301,7 @@ TEST(ShardedSystem, AggregationEqualsPerShardSums)
 
     std::uint64_t real = 0, dummy = 0, dispatched = 0, skipped = 0;
     std::uint64_t completed = 0, eff_total = 0;
+    obs::ProfileEffectiveness events;
     std::size_t peak = 0;
     std::vector<std::uint64_t> skips;
     for (unsigned s = 0; s < 3; ++s) {
@@ -314,6 +319,12 @@ TEST(ShardedSystem, AggregationEqualsPerShardSums)
             skips.resize(per_level.size(), 0);
         for (std::size_t l = 0; l < per_level.size(); ++l)
             skips[l] += per_level[l];
+        events.writebacksReplaced += c.dummyReplacements();
+        events.pendingSwaps += c.pendingSwaps();
+        events.stashShortcuts += c.stashShortcuts();
+        events.onChipBucketReads += c.onChipBucketReads();
+        events.macDataHits += sh->shard(s).admission().macDataHits();
+        events.cacheVictimWrites += c.macVictimWrites();
 
         obs::RequestProfiler *prof = sys.profiler(s);
         ASSERT_NE(prof, nullptr);
@@ -334,8 +345,18 @@ TEST(ShardedSystem, AggregationEqualsPerShardSums)
     // completion sum, as do the effectiveness counters.
     EXPECT_TRUE(r.profiled);
     EXPECT_EQ(r.profiledRequests, completed);
-    EXPECT_EQ(r.profileEffectiveness.totalAccesses, eff_total);
-    EXPECT_EQ(r.profileEffectiveness.totalAccesses, real + dummy);
+    const obs::ProfileEffectiveness &eff = r.profileEffectiveness;
+    EXPECT_EQ(eff.totalAccesses, eff_total);
+    EXPECT_EQ(eff.totalAccesses, real + dummy);
+    // The six pipeline-event fields are the per-shard stage counters,
+    // summed.
+    EXPECT_EQ(eff.writebacksReplaced, events.writebacksReplaced);
+    EXPECT_EQ(eff.pendingSwaps, events.pendingSwaps);
+    EXPECT_EQ(eff.stashShortcuts, events.stashShortcuts);
+    EXPECT_EQ(eff.onChipBucketReads, events.onChipBucketReads);
+    EXPECT_EQ(eff.macDataHits, events.macDataHits);
+    EXPECT_EQ(eff.cacheVictimWrites, events.cacheVictimWrites);
+    EXPECT_GT(eff.onChipBucketReads, 0u);
 }
 
 TEST(ShardedSystem, ShardJsonBlockGatedOnShardCount)
