@@ -78,59 +78,6 @@ PathOram::access(Op op, BlockAddr addr,
     return old_payload;
 }
 
-std::vector<std::uint8_t>
-PathOram::accessWithLabels(Op op, BlockAddr addr, LeafLabel old_label,
-                           LeafLabel new_label,
-                           const std::vector<std::uint8_t> *data,
-                           const std::function<void(mem::Block &)> &mutate)
-{
-    fp_assert(addr != invalidBlockAddr, "access: invalid address");
-    fp_assert(geo_.validLeaf(old_label) && geo_.validLeaf(new_label),
-              "accessWithLabels: bad labels");
-    accesses_.inc();
-
-    if (params_.stashShortcut) {
-        if (mem::Block *blk = stash_.find(addr)) {
-            stashHits_.inc();
-            blk->leaf = new_label;
-            std::vector<std::uint8_t> old = blk->payload;
-            if (op == Op::write && data)
-                blk->payload = *data;
-            if (mutate)
-                mutate(*blk);
-            stash_.recordOccupancy();
-            return old;
-        }
-    }
-
-    AccessTrace tr;
-    tr.label = old_label;
-    tr.bucketsRead = readPath(old_label);
-
-    mem::Block *blk = stash_.find(addr);
-    if (!blk) {
-        // First touch of this address: materialise a zeroed block.
-        stash_.insert(mem::Block(
-            addr, new_label,
-            std::vector<std::uint8_t>(params_.payloadBytes, 0)));
-        blk = stash_.find(addr);
-    } else {
-        blk->leaf = new_label;
-    }
-
-    std::vector<std::uint8_t> old_payload = blk->payload;
-    if (op == Op::write && data)
-        blk->payload = *data;
-    if (mutate)
-        mutate(*blk);
-
-    tr.bucketsWritten = writePath(old_label);
-    stash_.recordOccupancy();
-    if (traceEnabled_)
-        trace_.push_back(std::move(tr));
-    return old_payload;
-}
-
 void
 PathOram::dummyAccess()
 {

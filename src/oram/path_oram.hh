@@ -11,17 +11,15 @@
  *   5. refill the path greedily from the stash, deepest bucket first.
  *
  * This class is the golden reference the Fork Path controller is
- * checked against, and the substrate for the recursive position map.
- * It can trace the exact bucket-index sequence of every access so
- * tests can reason about the access pattern an adversary would see.
+ * checked against. It can trace the exact bucket-index sequence of
+ * every access so tests can reason about the access pattern an
+ * adversary would see.
  */
 
 #ifndef FP_ORAM_PATH_ORAM_HH
 #define FP_ORAM_PATH_ORAM_HH
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <vector>
 
 #include "mem/tree_store.hh"
@@ -77,27 +75,6 @@ class PathOram
     {
         access(Op::write, addr, &data);
     }
-
-    /**
-     * Access with externally supplied labels, bypassing the internal
-     * position map. This is the entry point used by the recursive
-     * position map, where a block's label is stored in its parent
-     * position-map block rather than on chip. Unknown blocks are
-     * created zeroed on first touch.
-     *
-     * @param old_label Label the block is currently mapped to.
-     * @param new_label Fresh label the block is remapped to.
-     * @param data      Payload to store for writes.
-     * @param mutate    Optional in-stash mutation applied before the
-     *                  refill (the recursion uses this to patch child
-     *                  labels while the block is guaranteed stashed).
-     */
-    std::vector<std::uint8_t>
-    accessWithLabels(Op op, BlockAddr addr, LeafLabel old_label,
-                     LeafLabel new_label,
-                     const std::vector<std::uint8_t> *data = nullptr,
-                     const std::function<void(mem::Block &)> &mutate =
-                         {});
 
     /** A dummy access: read and refill a uniformly random path. */
     void dummyAccess();

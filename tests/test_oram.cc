@@ -204,35 +204,6 @@ TEST(PathOram, DummyAccessKeepsState)
     EXPECT_EQ(oram.read(9), valueFor(9));
 }
 
-TEST(PathOram, AccessWithLabelsRoundTrip)
-{
-    auto params = smallParams();
-    params.stashShortcut = false;
-    PathOram oram(params);
-    LeafLabel l1 = 3, l2 = 9, l3 = 12;
-    auto v = valueFor(77);
-    oram.accessWithLabels(Op::write, 77, l1, l2, &v);
-    auto out = oram.accessWithLabels(Op::read, 77, l2, l3);
-    EXPECT_EQ(out, v);
-}
-
-TEST(PathOram, AccessWithLabelsMutateRunsBeforeRefill)
-{
-    PathOram oram(smallParams());
-    auto v = valueFor(1);
-    bool ran = false;
-    oram.accessWithLabels(Op::write, 11, 0, 1, &v,
-                          [&](mem::Block &blk) {
-                              ran = true;
-                              EXPECT_EQ(blk.addr, 11u);
-                              blk.payload = valueFor(2);
-                          });
-    EXPECT_TRUE(ran);
-    // Read back through the external-label interface (the block is
-    // not registered in the internal position map).
-    EXPECT_EQ(oram.accessWithLabels(Op::read, 11, 1, 2), valueFor(2));
-}
-
 TEST(PathOram, RemapsOnEveryAccess)
 {
     auto params = smallParams(10);
