@@ -7,59 +7,6 @@
 namespace fp::sim
 {
 
-namespace
-{
-
-/** A SimConfig whose memory-stack fields describe a DRAM store. */
-SimConfig
-dramStack(const dram::DramParams &dram)
-{
-    SimConfig cfg;
-    cfg.dram = dram;
-    return cfg;
-}
-
-/** A SimConfig whose memory-stack fields describe a net store, with
- *  optional fault and retry layers. */
-SimConfig
-netStack(const mem::NetBackendParams &net,
-         const mem::FaultParams &faults = {},
-         const mem::RetryParams &retry = {})
-{
-    SimConfig cfg;
-    cfg.backendKind = BackendKind::net;
-    cfg.net = net;
-    cfg.faults = faults;
-    cfg.retry = retry;
-    return cfg;
-}
-
-} // namespace
-
-SyncOram::SyncOram(core::ControllerParams controller)
-    : SyncOram(std::move(controller), SimConfig::defaultDram())
-{
-}
-
-SyncOram::SyncOram(core::ControllerParams controller,
-                   dram::DramParams dram)
-    : SyncOram(std::move(controller), dramStack(dram))
-{
-}
-
-SyncOram::SyncOram(core::ControllerParams controller,
-                   mem::NetBackendParams net)
-    : SyncOram(std::move(controller), netStack(net))
-{
-}
-
-SyncOram::SyncOram(core::ControllerParams controller,
-                   mem::NetBackendParams net, mem::FaultParams faults,
-                   mem::RetryParams retry)
-    : SyncOram(std::move(controller), netStack(net, faults, retry))
-{
-}
-
 SyncOram::SyncOram(core::ControllerParams controller,
                    const SimConfig &memory)
     : eq_(std::make_unique<EventQueue>()),

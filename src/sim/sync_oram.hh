@@ -22,10 +22,8 @@
 
 #include "core/oram_controller.hh"
 #include "mem/backend.hh"
-#include "mem/fault_injector.hh"
-#include "mem/net_backend.hh"
-#include "mem/resilient_backend.hh"
 #include "sim/backend_stack.hh"
+#include "sim/sim_config.hh"
 #include "util/event_queue.hh"
 
 namespace fp::sim
@@ -35,32 +33,18 @@ class SyncOram
 {
   public:
     /**
-     * Store backed by the default DRAM part
-     * (SimConfig::defaultDram(), the paper's DDR3-1600 x2).
-     *
      * @param controller Configuration for the ORAM controller; the
      *        payload size must be non-zero to carry data.
+     * @param memory     The memory stack, read from its backendKind,
+     *        dram, net, faults and retry fields exactly as the
+     *        System reads them (sim::BackendStack). The default is
+     *        the default DRAM part (SimConfig::defaultDram(), the
+     *        paper's DDR3-1600 x2) with no fault or retry layer; a
+     *        net store with faults and no retry timeout gets a
+     *        deadline suited to the net model's round trip.
      */
-    explicit SyncOram(core::ControllerParams controller);
-
-    /** Store backed by a specific DRAM configuration. */
-    SyncOram(core::ControllerParams controller,
-             dram::DramParams dram);
-
-    /** Store backed by the network/cloud model (mem::NetBackend). */
-    SyncOram(core::ControllerParams controller,
-             mem::NetBackendParams net);
-
-    /**
-     * Store backed by the network/cloud model wrapped in the
-     * fault-injection + retry stack (mem::FaultInjector under
-     * mem::ResilientBackend) — the embedding analogue of the
-     * System's --fault-* / --retry-* flags. A retry.timeoutUs of 0
-     * picks a deadline suited to the net model's round trip.
-     */
-    SyncOram(core::ControllerParams controller,
-             mem::NetBackendParams net, mem::FaultParams faults,
-             mem::RetryParams retry);
+    explicit SyncOram(core::ControllerParams controller,
+                      const SimConfig &memory = {});
     ~SyncOram();
 
     /** Blocking read of one block. Unwritten blocks read as zeros. */
@@ -94,17 +78,13 @@ class SyncOram
     mem::MemoryBackend &backend() { return stack_->base(); }
     /** The whole memory stack: base store, DRAM model (null off
      *  DRAM), fault injector and retry layer (null unless the
-     *  fault-injecting constructor built them). */
+     *  memory config asked for them). */
     BackendStack &stack() { return *stack_; }
 
     /** Print a human-readable stats summary to stdout. */
     void printStats() const;
 
   private:
-    /** Delegation target: @p memory's backend, dram, net, faults
-     *  and retry fields describe the stack. */
-    SyncOram(core::ControllerParams controller, const SimConfig &memory);
-
     std::unique_ptr<EventQueue> eq_;
     std::unique_ptr<BackendStack> stack_;
     std::unique_ptr<core::OramController> ctrl_;

@@ -10,20 +10,24 @@
 namespace fp::sim
 {
 
-/** Adapter: LLC misses into the ORAM controller. */
+/** Adapter: LLC misses into an ORAM front end, the controller or
+ *  the shard dispatcher. A false return (address queue full, or the
+ *  home shard's window full or its controller busy) is the
+ *  retry-later signal. */
+template <class Oram>
 class System::OramSink : public workload::MemorySink
 {
   public:
-    explicit OramSink(core::OramController &ctrl) : ctrl_(ctrl) {}
+    explicit OramSink(Oram &oram) : oram_(oram) {}
 
-    bool canAccept() const override { return ctrl_.canAccept(); }
+    bool canAccept() const override { return oram_.canAccept(); }
 
     bool
     access(const workload::MemRequest &req,
            ResponseFn on_response) override
     {
         auto op = req.isWrite ? oram::Op::write : oram::Op::read;
-        std::uint64_t id = ctrl_.request(
+        std::uint64_t id = oram_.request(
             op, req.addr, {},
             [cb = std::move(on_response)](
                 Tick t, const std::vector<std::uint8_t> &) {
@@ -33,38 +37,7 @@ class System::OramSink : public workload::MemorySink
     }
 
   private:
-    core::OramController &ctrl_;
-};
-
-/** Adapter: LLC misses into the shard dispatcher. A false return
- *  (home-shard window full or its controller busy) is the same
- *  retry-later signal a busy single controller gives. */
-class System::ShardedSink : public workload::MemorySink
-{
-  public:
-    explicit ShardedSink(core::ShardedOram &sharded)
-        : sharded_(sharded)
-    {
-    }
-
-    bool canAccept() const override { return sharded_.canAccept(); }
-
-    bool
-    access(const workload::MemRequest &req,
-           ResponseFn on_response) override
-    {
-        auto op = req.isWrite ? oram::Op::write : oram::Op::read;
-        std::uint64_t id = sharded_.request(
-            op, req.addr, {},
-            [cb = std::move(on_response)](
-                Tick t, const std::vector<std::uint8_t> &) {
-                cb(t);
-            });
-        return id != 0;
-    }
-
-  private:
-    core::ShardedOram &sharded_;
+    Oram &oram_;
 };
 
 /** Adapter: the insecure baseline, one burst per miss, straight at
@@ -194,11 +167,11 @@ System::System(const SimConfig &cfg,
         sop.shardWindow = cfg_.shardWindow;
         sharded_ = std::make_unique<core::ShardedOram>(
             sop, cfg_.controller, eq_, tops);
-        sink_ = std::make_unique<ShardedSink>(*sharded_);
+        sink_ = std::make_unique<OramSink<core::ShardedOram>>(*sharded_);
     } else {
         ctrl_ = std::make_unique<core::OramController>(
             cfg_.controller, eq_, stacks_[0].mem->top());
-        sink_ = std::make_unique<OramSink>(*ctrl_);
+        sink_ = std::make_unique<OramSink<core::OramController>>(*ctrl_);
     }
     // Each controller reports to its own stack's tracer and profiler.
     for (unsigned s = 0; !cfg_.insecure && s < cfg_.shards; ++s) {

@@ -79,9 +79,9 @@ class System
     }
 
   private:
+    template <class Oram>
     class OramSink;
     class InsecureSink;
-    class ShardedSink;
 
     /** One memory stack plus the observability attached to it (its
      *  controller lives in ctrl_ or inside sharded_). */

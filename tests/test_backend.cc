@@ -316,12 +316,13 @@ TEST(NetBackendFunctional, RandomizedReadAfterWrite)
     params.labelQueueSize = 8;
     params.cacheBudgetBytes = 32 << 10;
 
-    mem::NetBackendParams net;
-    net.oneWayLatencyUs = 2.0; // keep the simulated run short
-    net.linkGbps = 40.0;
-    net.window = 8;
+    sim::SimConfig memory;
+    memory.backendKind = sim::BackendKind::net;
+    memory.net.oneWayLatencyUs = 2.0; // keep the simulated run short
+    memory.net.linkGbps = 40.0;
+    memory.net.window = 8;
 
-    sim::SyncOram oram(params, net);
+    sim::SyncOram oram(params, memory);
     EXPECT_EQ(oram.stack().dram(), nullptr);
     EXPECT_STREQ(oram.backend().kind(), "net");
 
@@ -361,10 +362,11 @@ TEST(NetBackendFunctional, LatencyScalesWithLinkRate)
     params.oram.seed = 3;
 
     auto avg_latency = [&](double gbps) {
-        mem::NetBackendParams net;
-        net.oneWayLatencyUs = 5.0;
-        net.linkGbps = gbps;
-        sim::SyncOram oram(params, net);
+        sim::SimConfig memory;
+        memory.backendKind = sim::BackendKind::net;
+        memory.net.oneWayLatencyUs = 5.0;
+        memory.net.linkGbps = gbps;
+        sim::SyncOram oram(params, memory);
         std::vector<std::uint8_t> v(16, 0x42);
         for (BlockAddr a = 0; a < 16; ++a)
             oram.write(a, v);

@@ -546,14 +546,20 @@ smallController()
     return params;
 }
 
-mem::NetBackendParams
-fastNet()
+/** A fast net store for SyncOram, with optional fault and retry
+ *  layers. */
+sim::SimConfig
+fastNet(const mem::FaultParams &faults = {},
+        const mem::RetryParams &retry = {})
 {
-    mem::NetBackendParams net;
-    net.oneWayLatencyUs = 2.0;
-    net.linkGbps = 40.0;
-    net.window = 8;
-    return net;
+    sim::SimConfig memory;
+    memory.backendKind = sim::BackendKind::net;
+    memory.net.oneWayLatencyUs = 2.0;
+    memory.net.linkGbps = 40.0;
+    memory.net.window = 8;
+    memory.faults = faults;
+    memory.retry = retry;
+    return memory;
 }
 
 TEST(ResilienceStack, SyncOramStreamIdenticalUnderFaults)
@@ -584,7 +590,7 @@ TEST(ResilienceStack, SyncOramStreamIdenticalUnderFaults)
     mem::RetryParams rp;
     rp.timeoutUs = 200.0;
     rp.maxRetries = 10;
-    sim::SyncOram faulty(smallController(), fastNet(), fp, rp);
+    sim::SyncOram faulty(smallController(), fastNet(fp, rp));
     ASSERT_NE(faulty.stack().injector(), nullptr);
     ASSERT_NE(faulty.stack().resilient(), nullptr);
     const std::uint64_t faulty_fp = drive(faulty);
@@ -608,7 +614,7 @@ TEST(ResilienceStack, SyncOramDataIntactUnderFaults)
     mem::RetryParams rp;
     rp.timeoutUs = 150.0;
     rp.maxRetries = 10;
-    sim::SyncOram oram(smallController(), fastNet(), fp, rp);
+    sim::SyncOram oram(smallController(), fastNet(fp, rp));
 
     Rng rng(20260807);
     std::map<BlockAddr, std::vector<std::uint8_t>> shadow;
