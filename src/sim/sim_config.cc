@@ -38,11 +38,15 @@ applyObsFlags(SimConfig &cfg, const CliArgs &args)
 {
     cfg.obs.traceOut = args.getString("trace-out", cfg.obs.traceOut);
     cfg.obs.statsOut = args.getString("stats-out", cfg.obs.statsOut);
-    cfg.obs.statsIntervalTicks = static_cast<Tick>(args.getInt(
+    // Signed, so a negative interval is rejected rather than wrapped.
+    const std::int64_t interval = args.getInt(
         "stats-interval",
-        static_cast<std::int64_t>(cfg.obs.statsIntervalTicks)));
-    fp_assert(cfg.obs.statsIntervalTicks > 0,
-              "--stats-interval must be positive");
+        static_cast<std::int64_t>(cfg.obs.statsIntervalTicks));
+    if (interval <= 0)
+        fp_fatal("--stats-interval must be a positive tick count, "
+                 "got %lld",
+                 static_cast<long long>(interval));
+    cfg.obs.statsIntervalTicks = static_cast<Tick>(interval);
 
     if (args.has("profile-requests"))
         cfg.obs.profileRequests = true;

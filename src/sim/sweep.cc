@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <thread>
 
@@ -204,7 +205,14 @@ SweepOptions
 sweepOptionsFromArgs(const CliArgs &args)
 {
     SweepOptions opt;
-    opt.jobs = static_cast<unsigned>(args.getInt("jobs", 0));
+    // Signed, so a negative count is rejected rather than wrapped.
+    const std::int64_t jobs = args.getInt("jobs", 0);
+    if (jobs < 0 || jobs > std::numeric_limits<unsigned>::max())
+        fp_fatal("--jobs must be in [0, %u] (0: one per hardware "
+                 "thread), got %lld",
+                 std::numeric_limits<unsigned>::max(),
+                 static_cast<long long>(jobs));
+    opt.jobs = static_cast<unsigned>(jobs);
     opt.progress = !args.getBool("csv");
     return opt;
 }

@@ -263,6 +263,36 @@ TEST(ScenarioDeath, CliRunShapeFlagsAreRangeChecked)
                 "--leaf-level expects an integer");
 }
 
+TEST(ScenarioDeath, ObsAndSweepFlagsAreRangeChecked)
+{
+    auto spec = parseSpecText(kSmallSpec, "unit.json");
+    auto context = [&spec](const char *flag) {
+        Args args({flag});
+        auto cli = args.cli();
+        ScenarioContext ctx(spec, cli);
+    };
+    // Each bad value exits 1 naming the flag: no abort, and no
+    // negative value wrapped to a huge unsigned one.
+    EXPECT_EXIT(context("--stats-interval=0"),
+                testing::ExitedWithCode(1),
+                "--stats-interval must be a positive tick count, got 0");
+    EXPECT_EXIT(context("--stats-interval=-5"),
+                testing::ExitedWithCode(1),
+                "--stats-interval must be a positive tick count, got -5");
+    EXPECT_EXIT(context("--jobs=-1"), testing::ExitedWithCode(1),
+                "--jobs must be in \\[0, 4294967295\\].*got -1");
+    EXPECT_EXIT(context("--jobs=4294967296"),
+                testing::ExitedWithCode(1),
+                "--jobs must be in .*got 4294967296");
+
+    // Valid values pass through unchanged.
+    Args args({"--stats-interval=1", "--jobs=3"});
+    auto cli = args.cli();
+    ScenarioContext ctx(spec, cli);
+    EXPECT_EQ(ctx.base.obs.statsIntervalTicks, 1u);
+    EXPECT_EQ(ctx.sweepOpt.jobs, 3u);
+}
+
 TEST(Scenario, ScenarioFlagPrefersFlagThenParamsThenDefault)
 {
     auto spec = parseSpecText(
