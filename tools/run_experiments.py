@@ -2,8 +2,8 @@
 """Run every committed experiment spec in smoke mode and diff its
 stdout against the committed golden (stdlib only).
 
-The CI `experiment-specs` job and the ctest labelled `golden` run
-this script. For each experiments/*.json it launches the fp_bench
+The ctest labelled `golden` runs this script, so every CI job that
+runs ctest does. For each experiments/*.json it launches the fp_bench
 driver with the spec's own `smoke.args` (each spec declares how to
 shrink itself to CI scale), validates the emitted Chrome trace with
 validate_trace.py when the spec sets `smoke.trace`, and compares the
