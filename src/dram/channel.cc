@@ -183,8 +183,8 @@ Channel::kick()
     }
 
     Tick enqueued = tx.enqueued;
-    auto on_complete = std::move(tx.onComplete);
-    eq_.schedule(last_burst_end, [this, enqueued, on_complete] {
+    eq_.schedule(last_burst_end, [this, enqueued,
+                                  on_complete = std::move(tx.onComplete)] {
         latency_.sample(fp::ticksToNs(eq_.now() - enqueued));
         issuing_ = false;
         if (on_complete)

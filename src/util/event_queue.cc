@@ -1,5 +1,7 @@
 #include "util/event_queue.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace fp
@@ -12,17 +14,26 @@ EventQueue::schedule(Tick when, EventFn fn)
               "scheduling event in the past (when=%llu now=%llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(now_));
-    heap_.push(Entry{when, nextSeq_++, std::move(fn)});
+    heap_.push_back(Entry{when, nextSeq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+}
+
+EventQueue::Entry
+EventQueue::pop()
+{
+    // Move out before running: the callback may schedule new events.
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
+    return e;
 }
 
 std::uint64_t
 EventQueue::run(Tick limit)
 {
     std::uint64_t executed = 0;
-    while (!heap_.empty() && heap_.top().when <= limit) {
-        // Copy out before pop: the callback may schedule new events.
-        Entry e = heap_.top();
-        heap_.pop();
+    while (!heap_.empty() && heap_.front().when <= limit) {
+        Entry e = pop();
         now_ = e.when;
         e.fn();
         ++executed;
@@ -37,8 +48,7 @@ EventQueue::runWhile(const std::function<bool()> &pred)
 {
     std::uint64_t executed = 0;
     while (!heap_.empty() && pred()) {
-        Entry e = heap_.top();
-        heap_.pop();
+        Entry e = pop();
         now_ = e.when;
         e.fn();
         ++executed;
@@ -51,8 +61,7 @@ EventQueue::step()
 {
     if (heap_.empty())
         return false;
-    Entry e = heap_.top();
-    heap_.pop();
+    Entry e = pop();
     now_ = e.when;
     e.fn();
     return true;

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "util/types.hh"
@@ -92,7 +91,12 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    /** Pop the earliest entry, moving its callback out. */
+    Entry pop();
+
+    /** Binary min-heap on (when, seq) under Later; a total order, so
+     *  events run in the same order as any other correct heap. */
+    std::vector<Entry> heap_;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
 };
