@@ -1,5 +1,6 @@
 #include "core/controller_params.hh"
 
+#include "mem/bucket.hh"
 #include "util/logging.hh"
 
 namespace fp::core
@@ -10,6 +11,10 @@ ControllerParams::validate() const
 {
     if (oram.z == 0)
         fp_fatal("ControllerParams: oram.z must be positive");
+    if (oram.z > mem::Bucket::maxZ)
+        fp_fatal("ControllerParams: oram.z=%u exceeds %u (bucket "
+                 "slots are held inline)",
+                 oram.z, mem::Bucket::maxZ);
     if (labelQueueSize == 0)
         fp_fatal("ControllerParams: labelQueueSize must be positive "
                  "(policy '%s' schedules from the label queue)",

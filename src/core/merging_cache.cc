@@ -133,16 +133,7 @@ MergingAwareCache::extractBlock(BucketIndex idx, BlockAddr addr)
     for (Line &line : set) {
         if (!line.valid || line.tag != idx)
             continue;
-        // Rebuild the bucket without the requested block.
-        mem::Bucket rest(line.bucket.z());
-        std::optional<mem::Block> found;
-        for (mem::Block &blk : line.bucket.takeAll()) {
-            if (blk.addr == addr && !found)
-                found = std::move(blk);
-            else
-                rest.add(std::move(blk));
-        }
-        line.bucket = std::move(rest);
+        std::optional<mem::Block> found = line.bucket.take(addr);
         if (found) {
             line.lastUse = ++useClock_;
             if (trc_ && trc_->on(obs::TraceLevel::access))
@@ -156,7 +147,7 @@ MergingAwareCache::extractBlock(BucketIndex idx, BlockAddr addr)
 }
 
 std::optional<MergingAwareCache::Victim>
-MergingAwareCache::insert(BucketIndex idx, mem::Bucket bucket)
+MergingAwareCache::insert(BucketIndex idx, const mem::Bucket &bucket)
 {
     insertions_.inc();
     auto &set = sets_[setIndex(idx)];
@@ -178,27 +169,36 @@ MergingAwareCache::insert(BucketIndex idx, mem::Bucket bucket)
         }
     }
 
-    std::optional<Victim> victim;
-    if (!dest) {
-        // LRU victim.
-        dest = &*std::min_element(
-            set.begin(), set.end(),
-            [](const Line &a, const Line &b) {
-                return a.lastUse < b.lastUse;
-            });
-        evictions_.inc();
-        if (trc_ && trc_->on(obs::TraceLevel::access))
-            trc_->instant(obs::Track::cache, "mac_evict",
-                          {obs::TraceArg::num("victim", dest->tag),
-                           obs::TraceArg::num("for", idx)});
-        victim = Victim{dest->tag, std::move(dest->bucket)};
+    if (dest) {
+        fill(*dest, idx, bucket);
+        return std::nullopt;
     }
 
-    dest->valid = true;
-    dest->tag = idx;
-    dest->bucket = std::move(bucket);
-    dest->lastUse = ++useClock_;
+    // LRU victim, built in place: a default-constructed optional or a
+    // braced Victim temporary would zero-fill the whole inline bucket.
+    dest = &*std::min_element(set.begin(), set.end(),
+                              [](const Line &a, const Line &b) {
+                                  return a.lastUse < b.lastUse;
+                              });
+    evictions_.inc();
+    if (trc_ && trc_->on(obs::TraceLevel::access))
+        trc_->instant(obs::Track::cache, "mac_evict",
+                      {obs::TraceArg::num("victim", dest->tag),
+                       obs::TraceArg::num("for", idx)});
+    std::optional<Victim> victim(std::in_place, dest->tag,
+                                 std::move(dest->bucket));
+    fill(*dest, idx, bucket);
     return victim;
+}
+
+void
+MergingAwareCache::fill(Line &line, BucketIndex idx,
+                        const mem::Bucket &bucket)
+{
+    line.valid = true;
+    line.tag = idx;
+    line.bucket = bucket;
+    line.lastUse = ++useClock_;
 }
 
 } // namespace fp::core

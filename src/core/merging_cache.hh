@@ -92,7 +92,8 @@ class MergingAwareCache
      * Write-phase insertion of a refilled bucket. Returns the LRU
      * victim if a valid line had to be displaced.
      */
-    std::optional<Victim> insert(BucketIndex idx, mem::Bucket bucket);
+    std::optional<Victim> insert(BucketIndex idx,
+                                 const mem::Bucket &bucket);
 
     unsigned m1() const { return m1_; }
     unsigned m2() const { return m2_; }
@@ -128,9 +129,12 @@ class MergingAwareCache
     {
         bool valid = false;
         BucketIndex tag = 0;
-        mem::Bucket bucket;
         std::uint64_t lastUse = 0;
+        mem::Bucket bucket;
     };
+
+    /** Make @p line the valid, most recent holder of @p bucket. */
+    void fill(Line &line, BucketIndex idx, const mem::Bucket &bucket);
 
     mem::TreeGeometry geo_;
     unsigned m1_;

@@ -1,5 +1,7 @@
 #include "core/read_engine.hh"
 
+#include <span>
+
 #include "core/merging_cache.hh"
 #include "obs/request_profiler.hh"
 #include "oram/integrity.hh"
@@ -65,28 +67,20 @@ ReadEngine::readBucketAt(unsigned level)
 
     if (ctx_.treetop && ctx_.treetop->covers(level)) {
         mem::Bucket bucket = ctx_.store.readBucket(idx);
-        if (ctx_.merkle)
-            integrityRead_[level] = bucket;
-        ingestBucket(std::move(bucket));
+        ingestBucket(level, bucket);
         onChipBucketReads_.inc();
         return;
     }
     if (ctx_.mac && ctx_.mac->inRange(level)) {
         if (auto bucket = ctx_.mac->extract(idx)) {
-            if (ctx_.merkle)
-                integrityRead_[level] = *bucket;
-            ingestBucket(std::move(*bucket));
+            ingestBucket(level, *bucket);
             onChipBucketReads_.inc();
             return;
         }
     }
 
-    {
-        mem::Bucket bucket = ctx_.store.readBucket(idx);
-        if (ctx_.merkle)
-            integrityRead_[level] = bucket;
-        ingestBucket(std::move(bucket));
-    }
+    mem::Bucket bucket = ctx_.store.readBucket(idx);
+    ingestBucket(level, bucket);
     ++dramBuckets_;
     ++outstanding_;
     mem::BackendRequest req;
@@ -103,10 +97,13 @@ ReadEngine::readBucketAt(unsigned level)
 }
 
 void
-ReadEngine::ingestBucket(mem::Bucket bucket)
+ReadEngine::ingestBucket(unsigned level, mem::Bucket &bucket)
 {
-    for (mem::Block &blk : bucket.takeAll())
+    if (ctx_.merkle)
+        integrityRead_[level] = bucket;
+    for (mem::Block &blk : bucket)
         ctx_.stash.insertOrIgnore(std::move(blk));
+    bucket.clear();
 }
 
 void
@@ -114,11 +111,10 @@ ReadEngine::finish()
 {
     fp_assert(active_, "finishRead out of phase");
     if (ctx_.merkle) {
-        std::vector<mem::Bucket> slice(
-            integrityRead_.begin() + startLevel_,
-            integrityRead_.end());
-        if (!ctx_.merkle->verifySlice(acc_.label, startLevel_,
-                                      slice)) {
+        if (!ctx_.merkle->verifySlice(
+                acc_.label, startLevel_,
+                std::span<const mem::Bucket>(integrityRead_)
+                    .subspan(startLevel_))) {
             fp_panic("integrity violation: path %llu failed Merkle "
                      "verification (active attack detected)",
                      static_cast<unsigned long long>(acc_.label));

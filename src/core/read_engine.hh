@@ -87,8 +87,9 @@ class ReadEngine
   private:
     /** Fetch one bucket of the current path (cache-aware). */
     void readBucketAt(unsigned level);
-    /** Move a fetched bucket's blocks into the stash. */
-    void ingestBucket(mem::Bucket bucket);
+    /** Move a fetched bucket's blocks into the stash (keeping a copy
+     *  for integrity at @p level), leaving @p bucket empty. */
+    void ingestBucket(unsigned level, mem::Bucket &bucket);
     void finish();
 
     PipelineContext &ctx_;

@@ -1,5 +1,7 @@
 #include "core/writeback_engine.hh"
 
+#include <span>
+
 #include "core/merging_cache.hh"
 #include "obs/request_profiler.hh"
 #include "oram/integrity.hh"
@@ -62,12 +64,8 @@ WritebackEngine::writeBucketAt(unsigned level)
     BucketIndex idx = ctx_.geo.bucketAt(label_, level);
     bucketsWritten_.inc();
 
-    mem::Bucket bucket(ctx_.params.oram.z);
-    for (mem::Block &blk :
-         ctx_.stash.evictForBucket(label_, level,
-                                   ctx_.params.oram.z)) {
-        bucket.add(std::move(blk));
-    }
+    mem::Bucket bucket =
+        ctx_.stash.evictForBucket(label_, level, ctx_.params.oram.z);
     if (ctx_.merkle)
         integrityWrite_[level] = bucket;
 
@@ -78,12 +76,11 @@ WritebackEngine::writeBucketAt(unsigned level)
 
     bool dram_write = true;
     if (ctx_.mac && ctx_.mac->inRange(level)) {
-        auto victim = ctx_.mac->insert(idx, std::move(bucket));
+        auto victim = ctx_.mac->insert(idx, bucket);
         dram_write = false;
         if (victim) {
             // Write the displaced bucket back to memory instead.
-            ctx_.store.writeBucket(victim->idx,
-                                   std::move(victim->bucket));
+            ctx_.store.writeBucket(victim->idx, victim->bucket);
             macVictimWrites_.inc();
             idx = victim->idx;
             dram_write = true;
@@ -129,10 +126,10 @@ WritebackEngine::finish()
     active_ = false;
 
     if (ctx_.merkle && stopLevel_ < ctx_.geo.numLevels()) {
-        std::vector<mem::Bucket> slice(
-            integrityWrite_.begin() + stopLevel_,
-            integrityWrite_.end());
-        ctx_.merkle->updateSlice(label_, stopLevel_, slice);
+        ctx_.merkle->updateSlice(
+            label_, stopLevel_,
+            std::span<const mem::Bucket>(integrityWrite_)
+                .subspan(stopLevel_));
     }
     if (ctx_.prof)
         ctx_.prof->sampleWriteback(startTick_, ctx_.eq.now());

@@ -86,7 +86,7 @@ MerkleTree::subtreeDigest(BucketIndex idx) const
 
 bool
 MerkleTree::verifySlice(LeafLabel label, unsigned start_level,
-                        const std::vector<mem::Bucket> &buckets)
+                        std::span<const mem::Bucket> buckets)
 {
     verifies_.inc();
     fp_assert(buckets.size() == geo_.numLevels() - start_level,
@@ -173,7 +173,7 @@ MerkleTree::updateBucket(BucketIndex idx, const mem::Bucket &bucket)
 
 void
 MerkleTree::updateSlice(LeafLabel label, unsigned start_level,
-                        const std::vector<mem::Bucket> &buckets)
+                        std::span<const mem::Bucket> buckets)
 {
     fp_assert(buckets.size() == geo_.numLevels() - start_level,
               "updateSlice: slice size mismatch");

@@ -33,6 +33,7 @@
 #define FP_ORAM_INTEGRITY_HH
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -57,14 +58,14 @@ class MerkleTree
      * @return true iff the recomputed root matches the pinned root.
      */
     bool verifySlice(LeafLabel label, unsigned start_level,
-                     const std::vector<mem::Bucket> &buckets);
+                     std::span<const mem::Bucket> buckets);
 
     /**
      * Commit a refill of levels [start_level, leafLevel] of path
      * @p label (same bucket ordering) and advance the pinned root.
      */
     void updateSlice(LeafLabel label, unsigned start_level,
-                     const std::vector<mem::Bucket> &buckets);
+                     std::span<const mem::Bucket> buckets);
 
     /**
      * Point update of one bucket's digest (used when an on-chip

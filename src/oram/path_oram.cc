@@ -5,8 +5,23 @@
 namespace fp::oram
 {
 
+namespace
+{
+
+const OramParams &
+checked(const OramParams &p)
+{
+    if (p.z == 0 || p.z > mem::Bucket::maxZ)
+        fp_fatal("PathOram: Z=%u outside [1, %u] (bucket slots are "
+                 "held inline)",
+                 p.z, mem::Bucket::maxZ);
+    return p;
+}
+
+} // anonymous namespace
+
 PathOram::PathOram(const OramParams &params)
-    : params_(params), geo_(params.geometry()),
+    : params_(checked(params)), geo_(params.geometry()),
       posMap_(geo_, params.seed ^ 0xa11ce),
       stash_(geo_, params.stashCapacity),
       store_(geo_, params.z, params.payloadBytes, params.encrypt,
@@ -99,7 +114,7 @@ PathOram::readPath(LeafLabel label)
     std::vector<BucketIndex> indices = geo_.pathIndices(label);
     for (BucketIndex idx : indices) {
         mem::Bucket bucket = store_.readBucket(idx);
-        for (mem::Block &blk : bucket.takeAll())
+        for (mem::Block &blk : bucket)
             stash_.insertOrIgnore(std::move(blk));
         // The memory copy is now out of date; it will be overwritten
         // by the refill below, so nothing else to do here.
@@ -118,12 +133,8 @@ PathOram::writePath(LeafLabel label)
          --level) {
         auto lvl = static_cast<unsigned>(level);
         BucketIndex idx = geo_.bucketAt(label, lvl);
-        mem::Bucket bucket(params_.z);
-        for (mem::Block &blk :
-             stash_.evictForBucket(label, lvl, params_.z)) {
-            bucket.add(std::move(blk));
-        }
-        store_.writeBucket(idx, bucket);
+        store_.writeBucket(idx,
+                           stash_.evictForBucket(label, lvl, params_.z));
         written.push_back(idx);
     }
     return written;

@@ -1,6 +1,7 @@
 #include "oram/stash.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "obs/request_profiler.hh"
 #include "util/logging.hh"
@@ -58,34 +59,39 @@ Stash::take(BlockAddr addr)
     return out;
 }
 
-std::vector<mem::Block>
+mem::Bucket
 Stash::evictForBucket(LeafLabel path_label, unsigned level,
                       unsigned max_blocks)
 {
-    std::vector<mem::Block> out;
+    mem::Bucket out(max_blocks);
     if (max_blocks == 0)
         return out;
     // Candidate selection must not depend on unordered_map iteration
     // order (which varies across standard libraries and across runs
-    // under ASLR-keyed hashing): pick eligible blocks in ascending
-    // address order so eviction — and everything downstream of it —
-    // is a pure function of the simulation state.
-    std::vector<BlockAddr> eligible;
-    for (const auto &kv : blocks_) {
-        if (geo_.canReside(kv.second.leaf, path_label, level))
-            eligible.push_back(kv.first);
+    // under ASLR-keyed hashing): take the max_blocks lowest eligible
+    // addresses, kept sorted in a fixed array, so eviction — and
+    // everything downstream of it — is a pure function of the
+    // simulation state. Erasing one map entry leaves the iterators to
+    // the others valid.
+    using It = decltype(blocks_)::iterator;
+    std::array<It, mem::Bucket::maxZ> pick;
+    unsigned picked = 0;
+    for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
+        if (!geo_.canReside(it->second.leaf, path_label, level))
+            continue;
+        if (picked == max_blocks && pick[picked - 1]->first < it->first)
+            continue;
+        unsigned pos = picked < max_blocks ? picked++ : picked - 1;
+        for (; pos > 0 && pick[pos - 1]->first > it->first; --pos)
+            pick[pos] = pick[pos - 1];
+        pick[pos] = it;
     }
-    std::sort(eligible.begin(), eligible.end());
-    if (eligible.size() > max_blocks)
-        eligible.resize(max_blocks);
-    out.reserve(eligible.size());
-    for (BlockAddr addr : eligible) {
-        auto it = blocks_.find(addr);
-        out.push_back(std::move(it->second));
-        blocks_.erase(it);
+    for (unsigned i = 0; i < picked; ++i) {
+        out.add(std::move(pick[i]->second));
+        blocks_.erase(pick[i]);
     }
     if (prof_)
-        prof_->sampleEvictedPerBucket(out.size());
+        prof_->sampleEvictedPerBucket(out.occupancy());
     return out;
 }
 

@@ -18,9 +18,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "mem/block.hh"
+#include "mem/bucket.hh"
 #include "mem/tree_geometry.hh"
 #include "obs/tracer.hh"
 #include "util/stats.hh"
@@ -64,13 +64,13 @@ class Stash
     mem::Block take(BlockAddr addr);
 
     /**
-     * Remove and return up to @p max_blocks blocks that can reside in
-     * the bucket at (@p path_label, @p level), i.e. whose own leaf
-     * label shares that bucket.
+     * Remove up to @p max_blocks (<= mem::Bucket::maxZ) blocks that
+     * can reside in the bucket at (@p path_label, @p level), i.e.
+     * whose own leaf label shares that bucket, and return them as a
+     * bucket of Z = @p max_blocks in ascending address order.
      */
-    std::vector<mem::Block> evictForBucket(LeafLabel path_label,
-                                           unsigned level,
-                                           unsigned max_blocks);
+    mem::Bucket evictForBucket(LeafLabel path_label, unsigned level,
+                               unsigned max_blocks);
 
     std::size_t size() const { return blocks_.size(); }
     std::size_t capacity() const { return capacity_; }

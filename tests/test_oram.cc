@@ -350,11 +350,11 @@ TEST(Stash, EvictionSelectsCandidatesInAddressOrder)
     auto evicted = stash.evictForBucket(/*path_label=*/0,
                                         /*level=*/0,
                                         /*max_blocks=*/4);
-    ASSERT_EQ(evicted.size(), 4u);
-    EXPECT_EQ(evicted[0].addr, 3u);
-    EXPECT_EQ(evicted[1].addr, 7u);
-    EXPECT_EQ(evicted[2].addr, 12u);
-    EXPECT_EQ(evicted[3].addr, 23u);
+    ASSERT_EQ(evicted.occupancy(), 4u);
+    EXPECT_EQ(evicted.blocks()[0].addr, 3u);
+    EXPECT_EQ(evicted.blocks()[1].addr, 7u);
+    EXPECT_EQ(evicted.blocks()[2].addr, 12u);
+    EXPECT_EQ(evicted.blocks()[3].addr, 23u);
     // The two highest addresses stay behind.
     EXPECT_TRUE(stash.contains(41));
     EXPECT_TRUE(stash.contains(55));

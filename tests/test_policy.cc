@@ -13,6 +13,8 @@
 #include "core/access_policy.hh"
 #include "core/controller_params.hh"
 #include "core/oram_controller.hh"
+#include "mem/tree_store.hh"
+#include "oram/path_oram.hh"
 #include "sim/runner.hh"
 #include "sim/scenario.hh"
 #include "sim/sim_config.hh"
@@ -163,6 +165,22 @@ TEST(ControllerParamsValidate, RejectsDegenerateKnobs)
         p.macBucketsPerSet = 0;
         EXPECT_DEATH(p.validate(), "macBucketsPerSet");
     }
+}
+
+TEST(ControllerParamsValidate, RejectsZAboveInlineBucketBound)
+{
+    // Bucket slots are held inline, so every owner of a Z exits with
+    // a diagnostic naming it rather than overrunning a bucket.
+    core::ControllerParams p = core::ControllerParams::forkPath();
+    p.oram.z = 9;
+    EXPECT_EXIT(p.validate(), testing::ExitedWithCode(1), "oram.z=9");
+    oram::OramParams op;
+    op.leafLevel = 4;
+    op.z = 9;
+    EXPECT_EXIT(oram::PathOram{op}, testing::ExitedWithCode(1),
+                "PathOram: Z=9");
+    EXPECT_EXIT(mem::TreeStore(mem::TreeGeometry(4), 9, 0),
+                testing::ExitedWithCode(1), "TreeStore: Z=9");
 }
 
 TEST(ControllerParamsValidate, AcceptsEveryRegisteredPreset)
