@@ -1,5 +1,8 @@
 #include "crypto/counter_mode.hh"
 
+#include <algorithm>
+#include <utility>
+
 namespace fp::crypto
 {
 
@@ -9,13 +12,13 @@ CounterModeCipher::CounterModeCipher(std::uint64_t key_seed)
 }
 
 SealedBlock
-CounterModeCipher::encrypt(const std::vector<std::uint8_t> &plaintext,
+CounterModeCipher::encrypt(std::vector<std::uint8_t> plaintext,
                            std::uint64_t nonce)
 {
     SealedBlock sealed;
     sealed.nonce = nonce;
     sealed.counter = nextCounter_++;
-    sealed.bytes = plaintext;
+    sealed.bytes = std::move(plaintext);
     applyKeystream(sealed.bytes, sealed.nonce, sealed.counter);
     return sealed;
 }
@@ -33,18 +36,32 @@ CounterModeCipher::applyKeystream(std::vector<std::uint8_t> &data,
                                   std::uint64_t nonce,
                                   std::uint64_t counter) const
 {
-    // Each keystream block covers 8 bytes. The cipher input mixes the
-    // nonce, the per-encryption counter, and the intra-block index so
-    // every byte position gets an independent keystream.
+    // Keystream word w covers bytes [8w, 8w + 8), byte i of it being
+    // ks >> 8i. The cipher input mixes the nonce, the per-encryption
+    // counter, and the word index so every byte position gets an
+    // independent keystream.
+    constexpr std::size_t chunkWords = 128;
+    const std::uint64_t base =
+        nonce * 0x9e3779b97f4a7c15ULL ^ (counter << 20);
     const std::size_t n = data.size();
-    for (std::size_t off = 0; off < n; off += 8) {
-        std::uint64_t input = nonce * 0x9e3779b97f4a7c15ULL
-            ^ (counter << 20)
-            ^ static_cast<std::uint64_t>(off / 8);
-        std::uint64_t ks = cipher_.encryptBlock(input);
-        for (std::size_t i = 0; i < 8 && off + i < n; ++i) {
-            data[off + i] ^=
-                static_cast<std::uint8_t>(ks >> (8 * i));
+    const std::size_t full_words = n / 8;
+    const std::size_t words = (n + 7) / 8;
+    std::uint64_t ks[chunkWords];
+    for (std::size_t first = 0; first < words; first += chunkWords) {
+        const std::size_t count = std::min(chunkWords, words - first);
+        for (std::size_t w = 0; w < count; ++w)
+            ks[w] = base ^ static_cast<std::uint64_t>(first + w);
+        cipher_.encryptBlocks(ks, ks, count);
+        for (std::size_t w = 0; w < count; ++w) {
+            const std::size_t off = 8 * (first + w);
+            std::uint8_t *bytes = data.data() + off;
+            if (first + w < full_words) {
+                for (std::size_t i = 0; i < 8; ++i)
+                    bytes[i] ^= static_cast<std::uint8_t>(ks[w] >> (8 * i));
+            } else {
+                for (std::size_t i = 0; off + i < n; ++i)
+                    bytes[i] ^= static_cast<std::uint8_t>(ks[w] >> (8 * i));
+            }
         }
     }
 }

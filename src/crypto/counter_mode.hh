@@ -42,11 +42,12 @@ class CounterModeCipher
     explicit CounterModeCipher(std::uint64_t key_seed);
 
     /**
-     * Encrypt @p plaintext under (@p nonce, fresh counter). The
-     * internal global counter guarantees no (nonce, counter) pair is
-     * ever reused by this cipher instance.
+     * Encrypt @p plaintext under (@p nonce, fresh counter), in place
+     * in the buffer the result then owns. The internal global counter
+     * guarantees no (nonce, counter) pair is ever reused by this
+     * cipher instance.
      */
-    SealedBlock encrypt(const std::vector<std::uint8_t> &plaintext,
+    SealedBlock encrypt(std::vector<std::uint8_t> plaintext,
                         std::uint64_t nonce);
 
     /** Decrypt a sealed block. */
@@ -56,7 +57,8 @@ class CounterModeCipher
     std::uint64_t encryptionCount() const { return nextCounter_; }
 
   private:
-    /** XOR @p data with the keystream for (nonce, counter). */
+    /** XOR @p data with the keystream for (nonce, counter), made
+     *  by one lane-cipher call per 1 KiB of data. */
     void applyKeystream(std::vector<std::uint8_t> &data,
                         std::uint64_t nonce,
                         std::uint64_t counter) const;
