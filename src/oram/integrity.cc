@@ -96,12 +96,17 @@ MerkleTree::verifySlice(LeafLabel label, unsigned start_level,
     // buckets; retained levels use their stored (previously
     // authenticated) bucket digests; off-path children use stored
     // subtree digests.
+    slice_.resize(buckets.size());
     Digest below = 0;
     for (unsigned level = geo_.numLevels(); level-- > 0;) {
         BucketIndex idx = geo_.bucketAt(label, level);
-        Digest bd = level >= start_level
-                        ? hashBucket(buckets[level - start_level])
-                        : bucketDigest(idx);
+        Digest bd;
+        if (level >= start_level) {
+            bd = hashBucket(buckets[level - start_level]);
+            slice_[level - start_level] = BucketDigest{idx, bd};
+        } else {
+            bd = bucketDigest(idx);
+        }
         Digest d;
         if (level == geo_.leafLevel()) {
             d = combine(bd, 0, 0);
@@ -127,13 +132,11 @@ MerkleTree::verifySlice(LeafLabel label, unsigned start_level,
     // verifications of retained levels can trust them.
     for (unsigned level = start_level; level < geo_.numLevels();
          ++level) {
-        BucketIndex idx = geo_.bucketAt(label, level);
-        auto it = nodes_
-                      .try_emplace(idx,
-                                   Node{emptyBucket_,
-                                        emptySubtreeByLevel_[level]})
-                      .first;
-        it->second.bucket = hashBucket(buckets[level - start_level]);
+        const BucketDigest &bd = slice_[level - start_level];
+        nodes_
+            .try_emplace(bd.bucket,
+                         Node{emptyBucket_, emptySubtreeByLevel_[level]})
+            .first->second.bucket = bd.digest;
     }
     return true;
 }
@@ -141,34 +144,8 @@ MerkleTree::verifySlice(LeafLabel label, unsigned start_level,
 void
 MerkleTree::updateBucket(BucketIndex idx, const mem::Bucket &bucket)
 {
-    unsigned level = geo_.levelOf(idx);
-    auto it = nodes_
-                  .try_emplace(idx, Node{emptyBucket_,
-                                         emptySubtreeByLevel_[level]})
-                  .first;
-    it->second.bucket = hashBucket(bucket);
-
-    // Re-derive subtree digests along the ancestor chain.
-    BucketIndex i = idx;
-    for (;;) {
-        Node &node =
-            nodes_
-                .try_emplace(i, Node{emptyBucket_,
-                                     emptySubtreeByLevel_
-                                         [geo_.levelOf(i)]})
-                .first->second;
-        if (geo_.levelOf(i) == geo_.leafLevel()) {
-            node.subtree = combine(node.bucket, 0, 0);
-        } else {
-            node.subtree = combine(node.bucket,
-                                   subtreeDigest(2 * i + 1),
-                                   subtreeDigest(2 * i + 2));
-        }
-        if (i == 0)
-            break;
-        i = (i - 1) / 2;
-    }
-    root_ = subtreeDigest(0);
+    const BucketDigest update{idx, hashBucket(bucket)};
+    updateBuckets({&update, 1});
 }
 
 void
@@ -177,25 +154,83 @@ MerkleTree::updateSlice(LeafLabel label, unsigned start_level,
 {
     fp_assert(buckets.size() == geo_.numLevels() - start_level,
               "updateSlice: slice size mismatch");
+    // Heap indices grow with depth, so the slice is already ascending.
+    slice_.clear();
+    for (unsigned level = start_level; level < geo_.numLevels(); ++level)
+        slice_.push_back({geo_.bucketAt(label, level),
+                          hashBucket(buckets[level - start_level])});
+    updateBuckets(slice_);
+}
 
-    for (unsigned level = geo_.numLevels(); level-- > 0;) {
-        BucketIndex idx = geo_.bucketAt(label, level);
-        Node &node = nodes_.try_emplace(idx,
-                                        Node{emptyBucket_,
-                                             emptySubtreeByLevel_
-                                                 [level]})
-                         .first->second;
-        if (level >= start_level)
-            node.bucket = hashBucket(buckets[level - start_level]);
-        if (level == geo_.leafLevel()) {
-            node.subtree = combine(node.bucket, 0, 0);
-        } else {
-            node.subtree = combine(node.bucket,
-                                   subtreeDigest(2 * idx + 1),
-                                   subtreeDigest(2 * idx + 2));
+void
+MerkleTree::updateBuckets(std::span<const BucketDigest> updates)
+{
+    if (updates.empty())
+        return;
+    for (std::size_t u = 1; u < updates.size(); ++u)
+        fp_assert(updates[u - 1].bucket < updates[u].bucket,
+                  "updateBuckets: buckets not strictly ascending");
+    fp_assert(updates.back().bucket < geo_.numBuckets(),
+              "updateBuckets: bad index");
+
+    // Derive level by level from the deepest update up. The nodes of
+    // a level are its updated buckets merged with the parents of the
+    // level below; a child's subtree digest comes from the level
+    // below when it was derived there, else from the stored digest
+    // of the untouched sibling. Every node is written once.
+    childLevel_.clear();
+    std::size_t end = updates.size(); // updates[0, end) not yet used
+    for (unsigned level = geo_.levelOf(updates.back().bucket) + 1;
+         level-- > 0;) {
+        const BucketIndex level_first = (BucketIndex{1} << level) - 1;
+        std::size_t u = end;
+        while (u > 0 && updates[u - 1].bucket >= level_first)
+            --u;
+        const std::size_t level_updates = u;
+
+        level_.clear();
+        std::size_t c = 0;
+        auto child = [&](BucketIndex idx) {
+            if (c < childLevel_.size() && childLevel_[c].bucket == idx)
+                return childLevel_[c++].digest;
+            return subtreeDigest(idx);
+        };
+        while (u < end || c < childLevel_.size()) {
+            BucketIndex idx;
+            if (c < childLevel_.size() &&
+                (u == end ||
+                 (childLevel_[c].bucket - 1) / 2 <= updates[u].bucket))
+                idx = (childLevel_[c].bucket - 1) / 2;
+            else
+                idx = updates[u].bucket;
+            Node &node =
+                nodes_
+                    .try_emplace(idx, Node{emptyBucket_,
+                                           emptySubtreeByLevel_[level]})
+                    .first->second;
+            if (u < end && updates[u].bucket == idx)
+                node.bucket = updates[u++].digest;
+            if (level == geo_.leafLevel()) {
+                node.subtree = combine(node.bucket, 0, 0);
+            } else {
+                const Digest left = child(2 * idx + 1);
+                const Digest right = child(2 * idx + 2);
+                node.subtree = combine(node.bucket, left, right);
+            }
+            level_.push_back({idx, node.subtree});
         }
+        childLevel_.swap(level_);
+        end = level_updates;
     }
-    root_ = subtreeDigest(0);
+    root_ = childLevel_.front().digest;
+
+    // Keep only path-sized scratch, so a bulk update's level lists do
+    // not hold memory for the tree's lifetime.
+    if (childLevel_.capacity() > geo_.numLevels() ||
+        level_.capacity() > geo_.numLevels()) {
+        childLevel_ = std::vector<BucketDigest>();
+        level_ = std::vector<BucketDigest>();
+    }
 }
 
 } // namespace fp::oram

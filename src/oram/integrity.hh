@@ -50,6 +50,13 @@ class MerkleTree
   public:
     using Digest = std::uint64_t;
 
+    /** A bucket and the digest of its contents. */
+    struct BucketDigest
+    {
+        BucketIndex bucket;
+        Digest digest;
+    };
+
     MerkleTree(const mem::TreeGeometry &geo, std::uint64_t key_seed);
 
     /**
@@ -73,6 +80,16 @@ class MerkleTree
      * pulling a block out); propagates to the pinned root.
      */
     void updateBucket(BucketIndex idx, const mem::Bucket &bucket);
+
+    /**
+     * Set the digests of many buckets at once and advance the pinned
+     * root. @p updates must be in strictly ascending bucket order.
+     * Each updated node and each of its ancestors is derived once,
+     * level by level from the leaves, so the root equals that of one
+     * updateBucket call per bucket. updateBucket and updateSlice are
+     * this routine on one bucket and on one path slice.
+     */
+    void updateBuckets(std::span<const BucketDigest> updates);
 
     /** The pinned (trusted) root digest. */
     Digest root() const { return root_; }
@@ -101,6 +118,14 @@ class MerkleTree
     std::vector<Digest> emptySubtreeByLevel_;
     Digest emptyBucket_;
     Digest root_;
+
+    /** Scratch, kept to avoid per-call allocation: the digests of a
+     *  slice's buckets, root-most first ... */
+    std::vector<BucketDigest> slice_;
+    /** ... and updateBuckets' (node, subtree digest) lists for the
+     *  level being derived and the level below it, ascending. */
+    std::vector<BucketDigest> level_;
+    std::vector<BucketDigest> childLevel_;
 
     fp::Counter verifies_;
     fp::Counter failures_;
