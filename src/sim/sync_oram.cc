@@ -1,11 +1,104 @@
 #include "sim/sync_oram.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 
+#include "mem/tree_store.hh"
+#include "oram/integrity.hh"
 #include "util/logging.hh"
 
 namespace fp::sim
 {
+
+namespace
+{
+
+/**
+ * Block counts of the buckets a bulk load has looked at, in a flat
+ * open-addressing table (power-of-two size, linear probing). A count
+ * is read from the store the first time its bucket is looked at in
+ * the current epoch, and then kept by the caller; forget() starts a
+ * new epoch, for when the store has changed under the table.
+ */
+class OccupancyTable
+{
+  public:
+    explicit OccupancyTable(std::size_t expected)
+    {
+        std::size_t size = 64;
+        while (size < 2 * expected)
+            size *= 2;
+        slots_.resize(size);
+    }
+
+    /** Blocks in bucket @p idx, as the caller has kept them. */
+    unsigned &
+    at(BucketIndex idx, mem::TreeStore &store)
+    {
+        Slot *slot = find(idx);
+        if (slot->bucket == idx && slot->epoch == epoch_)
+            return slot->count;
+        if (slot->bucket != idx) {
+            if (2 * (used_ + 1) > slots_.size()) {
+                grow();
+                slot = find(idx);
+            }
+            ++used_;
+        }
+        *slot = Slot{idx, epoch_, store.readBucket(idx).occupancy()};
+        return slot->count;
+    }
+
+    void
+    forget()
+    {
+        if (++epoch_ == 0) { // wrapped: drop every count instead
+            std::fill(slots_.begin(), slots_.end(), Slot{});
+            used_ = 0;
+        }
+    }
+
+  private:
+    static constexpr BucketIndex noBucket =
+        std::numeric_limits<BucketIndex>::max();
+
+    struct Slot
+    {
+        BucketIndex bucket = noBucket;
+        std::uint32_t epoch = 0;
+        unsigned count = 0;
+    };
+
+    /** The slot holding @p idx, else the empty slot ending its run. */
+    Slot *
+    find(BucketIndex idx)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::uint64_t h = idx * 0x9e3779b97f4a7c15ULL;
+        std::size_t s = static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+        while (slots_[s].bucket != idx && slots_[s].bucket != noBucket)
+            s = (s + 1) & mask;
+        return &slots_[s];
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(2 * slots_.size());
+        old.swap(slots_);
+        for (const Slot &slot : old) {
+            if (slot.bucket != noBucket)
+                *find(slot.bucket) = slot;
+        }
+    }
+
+    std::vector<Slot> slots_;
+    std::size_t used_ = 0;
+    std::uint32_t epoch_ = 0;
+};
+
+} // anonymous namespace
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    const SimConfig &memory)
@@ -64,6 +157,8 @@ SyncOram::bulkLoad(
               "bulkLoad must run before the first access");
 
     const auto &geo = ctrl.geometry();
+    mem::TreeStore &store = ctrl.store();
+    oram::MerkleTree *merkle = ctrl.merkle();
     // Keep planted blocks out of the on-chip cache band so the
     // pre-warmed MAC (and pinned treetop) stay coherent with memory.
     unsigned floor_level = 0;
@@ -75,33 +170,79 @@ SyncOram::bulkLoad(
     fp_assert(floor_level <= geo.leafLevel(),
               "bulkLoad: cache band covers the whole tree");
 
+    // Blocks placed but not yet in the store, and the digests of the
+    // buckets a commit seals.
+    struct Placement
+    {
+        BucketIndex bucket;
+        std::size_t block; //!< Index into @p blocks: the load order.
+        LeafLabel label;
+    };
+    std::vector<Placement> staged;
+    staged.reserve(blocks.size());
+    std::vector<oram::MerkleTree::BucketDigest> digests;
+    OccupancyTable occupancy(blocks.size());
+
+    // Seal each touched bucket once, in ascending bucket order, with
+    // its new blocks after the ones it held, in load order (the sort
+    // key includes the block index, so it acts as a stable sort by
+    // bucket); then derive the Merkle tree once, bottom-up.
+    auto commit = [&] {
+        std::sort(staged.begin(), staged.end(),
+                  [](const Placement &a, const Placement &b) {
+                      return a.bucket != b.bucket ? a.bucket < b.bucket
+                                                  : a.block < b.block;
+                  });
+        for (std::size_t i = 0; i < staged.size();) {
+            const BucketIndex idx = staged[i].bucket;
+            mem::Bucket bucket = store.readBucket(idx);
+            for (; i < staged.size() && staged[i].bucket == idx; ++i) {
+                const auto &[addr, payload] = blocks[staged[i].block];
+                bucket.add(mem::Block(addr, staged[i].label, payload));
+            }
+            store.writeBucket(idx, bucket);
+            if (merkle)
+                digests.push_back({idx, merkle->hashBucket(bucket)});
+        }
+        if (merkle)
+            merkle->updateBuckets(digests);
+        staged.clear();
+        digests.clear();
+    };
+
     std::size_t slow_path = 0;
-    for (const auto &[addr, payload] : blocks) {
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const auto &[addr, payload] = blocks[b];
         fp_assert(payload.size() == ctrl.params().oram.payloadBytes,
                   "bulkLoad: bad payload size for addr %llu",
                   static_cast<unsigned long long>(addr));
+        if (ctrl.positionMap().contains(addr))
+            fp_fatal("bulkLoad: address %llu is already loaded",
+                     static_cast<unsigned long long>(addr));
         LeafLabel label = ctrl.positionMap().lookupOrAssign(addr);
 
         bool placed = false;
         for (unsigned level = geo.leafLevel() + 1;
              level-- > floor_level;) {
             BucketIndex idx = geo.bucketAt(label, level);
-            mem::Bucket bucket = ctrl.store().readBucket(idx);
-            if (bucket.full())
+            unsigned &count = occupancy.at(idx, store);
+            if (count >= store.z())
                 continue;
-            bucket.add(mem::Block(addr, label, payload));
-            ctrl.store().writeBucket(idx, bucket);
-            if (ctrl.merkle())
-                ctrl.merkle()->updateBucket(idx, bucket);
+            ++count;
+            staged.push_back({idx, b, label});
             placed = true;
             break;
         }
         if (!placed) {
-            // Path congested near the leaves: regular timed write.
+            // Path congested near the leaves: a regular timed write,
+            // which must see every earlier block in the store.
             ++slow_path;
+            commit();
             write(addr, payload);
+            occupancy.forget();
         }
     }
+    commit();
     return slow_path;
 }
 

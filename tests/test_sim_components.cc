@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "oram/integrity.hh"
 #include "sim/metrics.hh"
 #include "sim/sim_config.hh"
 #include "sim/sync_oram.hh"
@@ -150,6 +153,170 @@ TEST(SyncOramBulkLoadDeathTest, AfterAccessFatal)
     EXPECT_DEATH(
         oram.bulkLoad({{2, std::vector<std::uint8_t>(16, 2)}}),
         "before the first access");
+}
+
+TEST(SyncOramBulkLoadDeathTest, RepeatedAddressFatal)
+{
+    // Planting an address twice would leave a stale copy on its path.
+    SyncOram within(syncParams());
+    EXPECT_DEATH(within.bulkLoad({{5, std::vector<std::uint8_t>(16, 0xA)},
+                                  {6, std::vector<std::uint8_t>(16, 0xC)},
+                                  {5, std::vector<std::uint8_t>(16, 0xB)}}),
+                 "address 5 is already loaded");
+    SyncOram across(syncParams());
+    across.bulkLoad({{5, std::vector<std::uint8_t>(16, 0xA)}});
+    EXPECT_DEATH(across.bulkLoad({{5, std::vector<std::uint8_t>(16, 0xB)}}),
+                 "address 5 is already loaded");
+}
+
+using LoadBlocks =
+    std::vector<std::pair<BlockAddr, std::vector<std::uint8_t>>>;
+
+/**
+ * The per-block bulk load that the one-pass SyncOram::bulkLoad
+ * replaced, through the public API: each block goes to the deepest
+ * bucket of its path with room, and that bucket is sealed and its
+ * Merkle path re-derived at once; a block that finds no room takes a
+ * timed write. Returns the positions in @p blocks of the timed
+ * writes.
+ */
+std::vector<std::size_t>
+perBlockBulkLoad(SyncOram &oram, const LoadBlocks &blocks)
+{
+    core::OramController &ctrl = oram.controller();
+    const mem::TreeGeometry &geo = ctrl.geometry();
+    unsigned floor_level = 0;
+    if (ctrl.mac())
+        floor_level = ctrl.mac()->m2() + 1;
+    if (ctrl.treetop())
+        floor_level =
+            std::max(floor_level, ctrl.treetop()->numCachedLevels());
+    std::vector<std::size_t> slow_path;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        const auto &[addr, payload] = blocks[i];
+        const LeafLabel label = ctrl.positionMap().lookupOrAssign(addr);
+        bool placed = false;
+        for (unsigned level = geo.leafLevel() + 1;
+             level-- > floor_level;) {
+            const BucketIndex idx = geo.bucketAt(label, level);
+            mem::Bucket bucket = ctrl.store().readBucket(idx);
+            if (bucket.full())
+                continue;
+            bucket.add(mem::Block(addr, label, payload));
+            ctrl.store().writeBucket(idx, bucket);
+            if (ctrl.merkle())
+                ctrl.merkle()->updateBucket(idx, bucket);
+            placed = true;
+            break;
+        }
+        if (!placed) {
+            slow_path.push_back(i);
+            oram.write(addr, payload);
+        }
+    }
+    return slow_path;
+}
+
+/** @p count blocks with distinct payloads at shuffled addresses. */
+LoadBlocks
+loadBlocks(std::uint64_t count, std::size_t payload_bytes,
+           std::uint64_t seed)
+{
+    Rng rng(seed);
+    LoadBlocks blocks;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        std::vector<std::uint8_t> payload(payload_bytes);
+        for (auto &byte : payload)
+            byte = static_cast<std::uint8_t>(rng());
+        blocks.emplace_back(3 * i + 1, std::move(payload));
+    }
+    for (std::size_t i = blocks.size(); i > 1; --i)
+        std::swap(blocks[i - 1], blocks[rng.uniformInt(i)]);
+    return blocks;
+}
+
+/**
+ * Load @p blocks both ways, in two calls, and compare the trees. At
+ * least @p min_planted_after blocks must be planted after the first
+ * timed write of the second call.
+ */
+void
+expectSameAsPerBlockLoad(const core::ControllerParams &params,
+                         const LoadBlocks &blocks,
+                         std::size_t min_planted_after)
+{
+    SyncOram fast(params);
+    SyncOram reference(params);
+    // Two calls: the second must count the blocks the first left.
+    const auto half = blocks.begin() +
+                      static_cast<std::ptrdiff_t>(blocks.size() / 2);
+    const LoadBlocks first(blocks.begin(), half);
+    const LoadBlocks second(half, blocks.end());
+    EXPECT_EQ(fast.bulkLoad(first),
+              perBlockBulkLoad(reference, first).size());
+    const std::vector<std::size_t> ref_second =
+        perBlockBulkLoad(reference, second);
+    EXPECT_EQ(fast.bulkLoad(second), ref_second.size());
+    if (min_planted_after > 0) {
+        ASSERT_FALSE(ref_second.empty());
+        EXPECT_GE(second.size() - ref_second.front() - ref_second.size(),
+                  min_planted_after);
+    }
+
+    core::OramController &a = fast.controller();
+    core::OramController &b = reference.controller();
+    if (params.enableIntegrity) {
+        EXPECT_EQ(a.merkle()->root(), b.merkle()->root());
+    }
+    EXPECT_EQ(fast.now(), reference.now());
+    EXPECT_EQ(a.stash().size(), b.stash().size());
+    for (BucketIndex idx = 0; idx < a.geometry().numBuckets(); ++idx) {
+        const mem::Bucket got = a.store().readBucket(idx);
+        const mem::Bucket want = b.store().readBucket(idx);
+        ASSERT_EQ(got.occupancy(), want.occupancy()) << "bucket " << idx;
+        for (unsigned s = 0; s < got.occupancy(); ++s) {
+            const mem::Block &x = got.blocks()[s];
+            const mem::Block &y = want.blocks()[s];
+            EXPECT_EQ(x.addr, y.addr) << "bucket " << idx;
+            EXPECT_EQ(x.leaf, y.leaf) << "bucket " << idx;
+            EXPECT_EQ(x.payload, y.payload) << "bucket " << idx;
+        }
+    }
+    ASSERT_EQ(a.positionMap().size(), b.positionMap().size());
+    for (const auto &[addr, payload] : blocks)
+        EXPECT_EQ(a.positionMap().get(addr), b.positionMap().get(addr));
+    for (const auto &[addr, payload] : blocks)
+        EXPECT_EQ(fast.read(addr), payload) << "addr " << addr;
+    if (params.enableIntegrity) {
+        EXPECT_EQ(a.merkle()->failures(), 0u);
+    }
+}
+
+TEST(SyncOramBulkLoad, MatchesPerBlockLoad)
+{
+    auto p = syncParams();
+    p.enableIntegrity = true;
+    for (bool encrypt : {false, true}) {
+        SCOPED_TRACE(encrypt ? "sealed" : "plain");
+        p.oram.encrypt = encrypt;
+        expectSameAsPerBlockLoad(p, loadBlocks(600, 16, 41), 0);
+    }
+}
+
+TEST(SyncOramBulkLoad, MatchesPerBlockLoadOnCongestedTree)
+{
+    // 140 blocks for the 124 slots of 16 leaves at Z = 4 with no
+    // cache band: paths fill up during the second call, so timed
+    // writes run between planted blocks and leave blocks in the stash.
+    auto p = syncParams();
+    p.oram.leafLevel = 4;
+    p.cachePolicy = core::CachePolicy::none;
+    p.enableIntegrity = true;
+    for (bool encrypt : {false, true}) {
+        SCOPED_TRACE(encrypt ? "sealed" : "plain");
+        p.oram.encrypt = encrypt;
+        expectSameAsPerBlockLoad(p, loadBlocks(140, 16, 43), 3);
+    }
 }
 
 // --- energy model -----------------------------------------------------------
