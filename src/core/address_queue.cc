@@ -119,9 +119,15 @@ AddressQueue::complete(std::uint64_t id,
     if (done->op == oram::Op::read)
         done->payload = data; // so later reads can forward from it
 
+    // One walk releases the dependents of @p id and collects the ids
+    // that other entries still wait on.
+    blockers_.clear();
     for (auto &e : entries_) {
-        if (e.blockedBy != id)
+        if (e.blockedBy != id) {
+            if (e.blockedBy != 0)
+                blockers_.push_back(e.blockedBy);
             continue;
+        }
         e.blockedBy = 0;
         if (e.piggybacked) {
             e.dataReady = true;
@@ -129,23 +135,18 @@ AddressQueue::complete(std::uint64_t id,
             released.push_back(e.id);
         }
     }
+    std::sort(blockers_.begin(), blockers_.end());
 
-    // Retire completed entries that nothing still blocks on; an
-    // entry with live dependents must stay resident so its id keeps
+    // Retire completed entries that nothing still blocks on; an entry
+    // with live dependents must stay resident so its id keeps
     // resolving.
-    auto retired = [](const AddressEntry &e) {
-        return e.cancelled || e.dataReady;
-    };
     entries_.erase(
         std::remove_if(entries_.begin(), entries_.end(),
-                       [&](const AddressEntry &e) {
-                           if (!retired(e))
-                               return false;
-                           for (const auto &other : entries_) {
-                               if (other.blockedBy == e.id)
-                                   return false;
-                           }
-                           return true;
+                       [this](const AddressEntry &e) {
+                           return (e.cancelled || e.dataReady) &&
+                                  !std::binary_search(blockers_.begin(),
+                                                      blockers_.end(),
+                                                      e.id);
                        }),
         entries_.end());
     return released;

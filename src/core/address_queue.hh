@@ -102,6 +102,8 @@ class AddressQueue
   private:
     std::size_t capacity_;
     std::deque<AddressEntry> entries_;
+    /** complete()'s scratch: the ids some entry still waits on. */
+    std::vector<std::uint64_t> blockers_;
 
     fp::Counter forwards_;
     fp::Counter cancels_;
