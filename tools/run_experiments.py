@@ -15,7 +15,9 @@ scenario (fp_bench --list-scenarios) is exercised by at least one
 committed spec.
 
 Runs execute concurrently, up to the CPU count; stdout does not
-depend on that, nor on any spec's --jobs.
+depend on that, nor on any spec's --jobs. The report gives each run's
+wall seconds and, at the end, the suite's wall seconds and the sum
+over its runs; neither enters the golden comparison.
 
     tools/run_experiments.py                       # all specs
     tools/run_experiments.py --only fig10,smoke    # subset
@@ -37,6 +39,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -97,30 +100,34 @@ def plan(paths):
 
 
 def execute(bench, run, workdir):
-    """Run one spec; returns (report lines, stdout or None)."""
+    """Run one spec; returns (report lines, stdout or None, wall
+    seconds of the fp_bench run)."""
     name, path, args, want_trace = run
     cmd = [bench, path] + args
     trace_path = os.path.join(workdir, f"{name}.trace.json")
     if want_trace:
         cmd.append(f"--trace-out={trace_path}")
 
-    report = [f"run_experiments: {name}: {' '.join(cmd)}"]
+    start = time.monotonic()
     proc = subprocess.run(cmd, cwd=workdir, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
+    seconds = time.monotonic() - start
+    report = [f"run_experiments: {name} ({seconds:.2f} s): "
+              f"{' '.join(cmd)}"]
     if proc.returncode != 0:
         report += [proc.stderr + proc.stdout,
                    f"run_experiments: {name}: exit {proc.returncode}"]
-        return report, None
+        return report, None, seconds
     if not proc.stdout.strip():
         report.append(f"run_experiments: {name}: produced no stdout")
-        return report, None
+        return report, None, seconds
 
     if want_trace:
         if not os.path.exists(trace_path):
             report.append(f"run_experiments: {name}: no trace written "
                           f"(smoke.trace is true but --trace-out "
                           f"produced nothing)")
-            return report, None
+            return report, None, seconds
         check = subprocess.run(
             [sys.executable, os.path.join(HERE, "validate_trace.py"),
              "--trace", trace_path],
@@ -130,8 +137,8 @@ def execute(bench, run, workdir):
             report += [check.stdout,
                        f"run_experiments: {name}: trace validation "
                        f"failed"]
-            return report, None
-    return report, proc.stdout
+            return report, None, seconds
+    return report, proc.stdout, seconds
 
 
 def golden(name, stdout, golden_dir, update):
@@ -214,6 +221,8 @@ def main():
 
     failures = []
     runs = plan(paths)
+    run_seconds = 0.0
+    start = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="fp_experiments.") as wd, \
             concurrent.futures.ThreadPoolExecutor(
                 max_workers=os.cpu_count() or 1) as pool:
@@ -224,7 +233,8 @@ def main():
         for run, future in zip(runs, futures):
             if future.cancelled():
                 continue
-            report, stdout = future.result()
+            report, stdout, seconds = future.result()
+            run_seconds += seconds
             mismatch = [] if stdout is None else golden(
                 run[0], stdout, golden_dir, args.update_golden)
             print("\n".join(report + mismatch), flush=True)
@@ -232,6 +242,9 @@ def main():
                 failures.append(run[0])
                 if not args.keep_going:
                     pool.shutdown(cancel_futures=True)
+    print(f"run_experiments: suite took {time.monotonic() - start:.2f} s "
+          f"of wall time; its runs took {run_seconds:.2f} s in sum "
+          f"(up to {os.cpu_count() or 1} at once)", flush=True)
 
     if failures:
         fail(f"{len(failures)} run(s) failed: {', '.join(failures)}")
