@@ -46,7 +46,7 @@ CounterModeCipher::applyKeystream(std::vector<std::uint8_t> &data,
     const std::size_t n = data.size();
     const std::size_t full_words = n / 8;
     const std::size_t words = (n + 7) / 8;
-    std::uint64_t ks[chunkWords];
+    std::uint64_t ks[chunkWords] = {};
     for (std::size_t first = 0; first < words; first += chunkWords) {
         const std::size_t count = std::min(chunkWords, words - first);
         for (std::size_t w = 0; w < count; ++w)

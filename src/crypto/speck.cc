@@ -101,8 +101,8 @@ Speck64::encryptBlocks(const std::uint64_t *in, std::uint64_t *out,
     constexpr std::size_t lanes = 8;
     std::size_t i = 0;
     for (; i + lanes <= n; i += lanes) {
-        std::uint32_t x[lanes];
-        std::uint32_t y[lanes];
+        std::uint32_t x[lanes] = {};
+        std::uint32_t y[lanes] = {};
         for (std::size_t j = 0; j < lanes; ++j) {
             x[j] = static_cast<std::uint32_t>(in[i + j] >> 32);
             y[j] = static_cast<std::uint32_t>(in[i + j]);
