@@ -58,11 +58,12 @@ class SyncOram
      * paying a full path access per block. Each block, in input
      * order, gets a uniform leaf label and a place in the deepest
      * bucket of its path that has room (below any on-chip cache
-     * band, so cache state stays coherent). Placing comes first and
-     * runs no cipher or hash. Then each touched bucket is sealed
-     * once, in ascending bucket order with its new blocks after the
-     * ones it held, in load order, and each touched Merkle node is
-     * derived once, bottom-up. A block that finds no room falls back
+     * band, so cache state stays coherent). Placing comes first: it
+     * reads each bucket it looks at once and seals and hashes
+     * nothing. Then each touched bucket is sealed once, in ascending
+     * bucket order with its new blocks after the ones it held, in
+     * load order, and each touched Merkle node is derived once,
+     * bottom-up. A block that finds no room falls back
      * to a normal timed write, once the blocks placed before it are
      * in the store. Must be called before the first access. An
      * address that is already loaded (repeated in @p blocks, or
