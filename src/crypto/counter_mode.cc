@@ -11,15 +11,23 @@ CounterModeCipher::CounterModeCipher(std::uint64_t key_seed)
 {
 }
 
+std::uint64_t
+CounterModeCipher::seal(std::span<std::uint8_t> data, std::uint64_t nonce)
+{
+    // Counter mode: one keystream XOR both seals and unseals.
+    const std::uint64_t counter = nextCounter_++;
+    unseal(data, nonce, counter);
+    return counter;
+}
+
 SealedBlock
 CounterModeCipher::encrypt(std::vector<std::uint8_t> plaintext,
                            std::uint64_t nonce)
 {
     SealedBlock sealed;
     sealed.nonce = nonce;
-    sealed.counter = nextCounter_++;
+    sealed.counter = seal(plaintext, nonce);
     sealed.bytes = std::move(plaintext);
-    applyKeystream(sealed.bytes, sealed.nonce, sealed.counter);
     return sealed;
 }
 
@@ -27,19 +35,20 @@ std::vector<std::uint8_t>
 CounterModeCipher::decrypt(const SealedBlock &sealed) const
 {
     std::vector<std::uint8_t> plain = sealed.bytes;
-    applyKeystream(plain, sealed.nonce, sealed.counter);
+    unseal(plain, sealed.nonce, sealed.counter);
     return plain;
 }
 
 void
-CounterModeCipher::applyKeystream(std::vector<std::uint8_t> &data,
-                                  std::uint64_t nonce,
-                                  std::uint64_t counter) const
+CounterModeCipher::unseal(std::span<std::uint8_t> data,
+                          std::uint64_t nonce,
+                          std::uint64_t counter) const
 {
-    // Keystream word w covers bytes [8w, 8w + 8), byte i of it being
-    // ks >> 8i. The cipher input mixes the nonce, the per-encryption
-    // counter, and the word index so every byte position gets an
-    // independent keystream.
+    // XOR with the keystream, made by one lane-cipher call per 1 KiB
+    // of data. Keystream word w covers bytes [8w, 8w + 8), byte i of
+    // it being ks >> 8i. The cipher input mixes the nonce, the
+    // per-encryption counter, and the word index so every byte
+    // position gets an independent keystream.
     constexpr std::size_t chunkWords = 128;
     const std::uint64_t base =
         nonce * 0x9e3779b97f4a7c15ULL ^ (counter << 20);

@@ -21,6 +21,7 @@
 #define FP_CRYPTO_COUNTER_MODE_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/speck.hh"
@@ -42,27 +43,27 @@ class CounterModeCipher
     explicit CounterModeCipher(std::uint64_t key_seed);
 
     /**
-     * Encrypt @p plaintext under (@p nonce, fresh counter), in place
-     * in the buffer the result then owns. The internal global counter
-     * guarantees no (nonce, counter) pair is ever reused by this
-     * cipher instance.
+     * Encrypt @p data in place under (@p nonce, a fresh counter) and
+     * return the counter. The internal global counter guarantees no
+     * (nonce, counter) pair is ever reused by this cipher instance.
      */
+    std::uint64_t seal(std::span<std::uint8_t> data, std::uint64_t nonce);
+
+    /** Decrypt in place @p data sealed under (@p nonce, @p counter). */
+    void unseal(std::span<std::uint8_t> data, std::uint64_t nonce,
+                std::uint64_t counter) const;
+
+    /** seal() into the buffer the result then owns. */
     SealedBlock encrypt(std::vector<std::uint8_t> plaintext,
                         std::uint64_t nonce);
 
-    /** Decrypt a sealed block. */
+    /** unseal() of a copy of a sealed block's bytes. */
     std::vector<std::uint8_t> decrypt(const SealedBlock &sealed) const;
 
     /** Number of encryptions performed (for stats/tests). */
     std::uint64_t encryptionCount() const { return nextCounter_; }
 
   private:
-    /** XOR @p data with the keystream for (nonce, counter), made
-     *  by one lane-cipher call per 1 KiB of data. */
-    void applyKeystream(std::vector<std::uint8_t> &data,
-                        std::uint64_t nonce,
-                        std::uint64_t counter) const;
-
     Speck64 cipher_;
     std::uint64_t nextCounter_ = 1;
 };

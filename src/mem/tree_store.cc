@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
+#include <optional>
 
 #include "util/logging.hh"
 
@@ -12,19 +12,38 @@ namespace fp::mem
 namespace
 {
 
-/** Index slot marker: no bucket (never a valid heap index). */
-constexpr BucketIndex noBucket = std::numeric_limits<BucketIndex>::max();
-constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
-
-/** Record words: [0] bucket index, [1] occupancy, then Z (addr, leaf)
- *  pairs, then Z payload slots rounded up to whole words. */
+/** Record words: [0] bucket index, then, in a plaintext record,
+ *  [1] occupancy, Z (addr, leaf) pairs and Z payload slots rounded up
+ *  to whole words; in a sealed record, [1] the counter it was sealed
+ *  under and the sealed bucket image rounded up to whole words. */
 constexpr std::size_t ownerWord = 0;
 constexpr std::size_t occupancyWord = 1;
 constexpr std::size_t pairsWord = 2;
+constexpr std::size_t counterWord = 1;
+constexpr std::size_t imageWord = 2;
+
+/** A bucket image slot: addr, leaf, then the payload bytes. */
+constexpr std::size_t slotHeaderBytes = 16;
 
 /** Target slab chunk size; a chunk holds a power of two of records. */
 constexpr std::size_t chunkBytes = 64 * 1024;
-constexpr std::size_t minIndexSlots = 64;
+
+/** The image's words are little-endian whatever the host's order. */
+void
+storeWord(std::uint8_t *at, std::uint64_t v)
+{
+    for (unsigned i = 0; i < 8; ++i)
+        at[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint64_t
+loadWord(const std::uint8_t *at)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(at[i]) << (8 * i);
+    return v;
+}
 
 } // anonymous namespace
 
@@ -38,14 +57,19 @@ TreeStore::TreeStore(const TreeGeometry &geo, unsigned z,
         fp_fatal("TreeStore: Z=%u outside [1, %u] (bucket slots are "
                  "held inline)",
                  z, Bucket::maxZ);
-    recordWords_ = pairsWord + 2 * std::size_t{z} +
-                   (std::size_t{z} * payloadBytes_ + 7) / 8;
+    if (encrypt) {
+        cipher_ = std::make_unique<crypto::CounterModeCipher>(key_seed);
+        imageBytes_ = std::size_t{z} * (slotHeaderBytes + payloadBytes_);
+        scratch_.resize((imageBytes_ + 7) / 8);
+        recordWords_ = imageWord + scratch_.size();
+    } else {
+        recordWords_ = pairsWord + 2 * std::size_t{z} +
+                       (std::size_t{z} * payloadBytes_ + 7) / 8;
+    }
     chunkShift_ = 0;
     while ((std::size_t{2} << chunkShift_) * recordWords_ * 8 <=
            chunkBytes)
         ++chunkShift_;
-    if (encrypt)
-        cipher_ = std::make_unique<crypto::CounterModeCipher>(key_seed);
     stats_.regCounter("reads", reads_, "bucket reads");
     stats_.regCounter("writes", writes_, "bucket writes");
 }
@@ -57,16 +81,28 @@ TreeStore::readBucket(BucketIndex idx)
     reads_.inc();
     // One named result on every path, so it is built in place.
     Bucket bucket(z_);
+    const std::size_t *r = index_.find(idx);
+    if (!r)
+        return bucket;
     if (cipher_) {
-        auto it = sealed_.find(idx);
-        if (it != sealed_.end())
-            bucket = deserialize(cipher_->decrypt(it->second));
+        std::span<std::uint8_t> image(
+            reinterpret_cast<std::uint8_t *>(scratch_.data()),
+            imageBytes_);
+        unsealRecord(*r, image);
+        const std::size_t slot_bytes = slotHeaderBytes + payloadBytes_;
+        for (unsigned s = 0; s < z_; ++s) {
+            const std::uint8_t *slot = image.data() + s * slot_bytes;
+            const BlockAddr addr = loadWord(slot);
+            if (addr == invalidBlockAddr)
+                continue;
+            Block blk(addr, loadWord(slot + 8));
+            const std::uint8_t *payload = slot + slotHeaderBytes;
+            blk.payload.assign(payload, payload + payloadBytes_);
+            bucket.add(std::move(blk));
+        }
         return bucket;
     }
-    std::size_t slot = findSlot(idx);
-    if (slot == npos)
-        return bucket;
-    std::span<const std::uint64_t> rec = record(index_[slot].record);
+    std::span<const std::uint64_t> rec = record(*r);
     const auto *payload = reinterpret_cast<const std::uint8_t *>(
         rec.subspan(pairsWord + 2 * z_).data());
     for (std::size_t s = 0; s < rec[occupancyWord]; ++s) {
@@ -83,26 +119,32 @@ TreeStore::writeBucket(BucketIndex idx, const Bucket &bucket)
 {
     fp_assert(idx < geo_.numBuckets(), "writeBucket: bad index");
     fp_assert(bucket.occupancy() <= z_, "writeBucket: overfull bucket");
+    for (const Block &blk : bucket.blocks())
+        fp_assert(blk.payload.size() <= payloadBytes_,
+                  "writeBucket: %zu-byte payload exceeds the store's "
+                  "%zu bytes (addr %llu)",
+                  blk.payload.size(), payloadBytes_,
+                  static_cast<unsigned long long>(blk.addr));
     writes_.inc();
-    if (cipher_) {
-        sealed_[idx] = cipher_->encrypt(serialize(bucket), idx);
+    // A sealed bucket keeps its record when it empties: its
+    // ciphertext must not reveal its occupancy.
+    if (!cipher_ && bucket.empty()) {
+        if (std::optional<std::size_t> r = index_.erase(idx))
+            dropRecord(*r);
         return;
     }
-    std::size_t slot = findSlot(idx);
-    if (bucket.empty()) {
-        if (slot != npos)
-            eraseRecord(slot);
-        return;
-    }
-    if (slot == npos)
-        slot = addRecord(idx);
-    fillRecord(record(index_[slot].record), bucket);
+    const std::size_t *r = index_.find(idx);
+    std::span<std::uint64_t> rec = record(r ? *r : addRecord(idx));
+    if (cipher_)
+        sealRecord(rec, bucket);
+    else
+        fillRecord(rec, bucket);
 }
 
 std::size_t
 TreeStore::materializedBuckets() const
 {
-    return cipher_ ? sealed_.size() : records_;
+    return records_;
 }
 
 std::uint64_t
@@ -110,9 +152,15 @@ TreeStore::residentBlocks() const
 {
     std::uint64_t total = 0;
     if (cipher_) {
-        for (const auto &[idx, sb] : sealed_) {
-            Bucket b = deserialize(cipher_->decrypt(sb));
-            total += b.occupancy();
+        std::vector<std::uint64_t> words(scratch_.size());
+        std::span<std::uint8_t> image(
+            reinterpret_cast<std::uint8_t *>(words.data()), imageBytes_);
+        const std::size_t slot_bytes = slotHeaderBytes + payloadBytes_;
+        for (std::size_t r = 0; r < records_; ++r) {
+            unsealRecord(r, image);
+            for (unsigned s = 0; s < z_; ++s)
+                total += loadWord(image.data() + s * slot_bytes) !=
+                         invalidBlockAddr;
         }
     } else {
         for (std::size_t r = 0; r < records_; ++r)
@@ -124,32 +172,12 @@ TreeStore::residentBlocks() const
 std::vector<std::uint8_t>
 TreeStore::rawCiphertext(BucketIndex idx) const
 {
-    auto it = sealed_.find(idx);
-    if (it == sealed_.end())
+    const std::size_t *r = cipher_ ? index_.find(idx) : nullptr;
+    if (!r)
         return {};
-    return it->second.bytes;
-}
-
-std::size_t
-TreeStore::homeSlot(BucketIndex idx) const
-{
-    std::uint64_t h = idx * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h) & (index_.size() - 1);
-}
-
-std::size_t
-TreeStore::findSlot(BucketIndex idx) const
-{
-    if (index_.empty())
-        return npos;
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t s = homeSlot(idx);; s = (s + 1) & mask) {
-        if (index_[s].bucket == idx)
-            return s;
-        if (index_[s].bucket == noBucket)
-            return npos;
-    }
+    const auto *image = reinterpret_cast<const std::uint8_t *>(
+        record(*r).subspan(imageWord).data());
+    return std::vector<std::uint8_t>(image, image + imageBytes_);
 }
 
 std::span<std::uint64_t>
@@ -173,49 +201,23 @@ TreeStore::record(std::size_t r) const
 std::size_t
 TreeStore::addRecord(BucketIndex idx)
 {
-    if (2 * (records_ + 1) > index_.size())
-        growIndex();
     if ((records_ >> chunkShift_) == chunks_.size())
         chunks_.emplace_back(recordWords_ << chunkShift_);
     const std::size_t r = records_++;
     record(r)[ownerWord] = idx;
-
-    const std::size_t mask = index_.size() - 1;
-    std::size_t s = homeSlot(idx);
-    while (index_[s].bucket != noBucket)
-        s = (s + 1) & mask;
-    index_[s] = IndexSlot{idx, r};
-    return s;
+    index_.insert(idx, r);
+    return r;
 }
 
 void
-TreeStore::eraseRecord(std::size_t slot)
+TreeStore::dropRecord(std::size_t r)
 {
-    const std::size_t r = index_[slot].record;
-
-    // Backward-shift deletion: walk the probe run after the hole and
-    // pull back every entry whose home does not lie cyclically in
-    // (hole, position], so lookups never stop early at the hole.
-    const std::size_t mask = index_.size() - 1;
-    std::size_t hole = slot;
-    for (std::size_t s = (hole + 1) & mask; index_[s].bucket != noBucket;
-         s = (s + 1) & mask) {
-        std::size_t home = homeSlot(index_[s].bucket);
-        bool stays = hole <= s ? (hole < home && home <= s)
-                               : (hole < home || home <= s);
-        if (!stays) {
-            index_[hole] = index_[s];
-            hole = s;
-        }
-    }
-    index_[hole].bucket = noBucket;
-
     // Keep the slab dense: the last record moves into the freed one.
     const std::size_t last = --records_;
     if (r != last) {
         std::span<const std::uint64_t> from = record(last);
         std::copy(from.begin(), from.end(), record(r).begin());
-        index_[findSlot(from[ownerWord])].record = r;
+        *index_.find(from[ownerWord]) = r;
     }
 }
 
@@ -230,11 +232,6 @@ TreeStore::fillRecord(std::span<std::uint64_t> rec,
     auto *bytes = reinterpret_cast<std::uint8_t *>(payload.data());
     std::size_t s = 0;
     for (const Block &blk : bucket.blocks()) {
-        fp_assert(blk.payload.size() <= payloadBytes_,
-                  "writeBucket: %zu-byte payload exceeds the store's "
-                  "%zu bytes (addr %llu)",
-                  blk.payload.size(), payloadBytes_,
-                  static_cast<unsigned long long>(blk.addr));
         pairs[2 * s] = blk.addr;
         pairs[2 * s + 1] = blk.leaf;
         if (!blk.payload.empty())
@@ -245,81 +242,36 @@ TreeStore::fillRecord(std::span<std::uint64_t> rec,
 }
 
 void
-TreeStore::growIndex()
+TreeStore::sealRecord(std::span<std::uint64_t> rec, const Bucket &bucket)
 {
-    std::vector<IndexSlot> old = std::move(index_);
-    index_.assign(std::max(minIndexSlots, 2 * old.size()),
-                  IndexSlot{noBucket, 0});
-    const std::size_t mask = index_.size() - 1;
-    for (const IndexSlot &e : old) {
-        if (e.bucket == noBucket)
-            continue;
-        std::size_t s = homeSlot(e.bucket);
-        while (index_[s].bucket != noBucket)
-            s = (s + 1) & mask;
-        index_[s] = e;
-    }
-}
-
-std::vector<std::uint8_t>
-TreeStore::serialize(const Bucket &bucket) const
-{
-    // Fixed layout independent of occupancy, Z slots of
-    // (addr, leaf, payload); unused slots are dummies with
-    // invalidBlockAddr. A fixed size is essential: ciphertext length
-    // must not reveal how many real blocks the bucket holds.
-    const std::size_t slot = 16 + payloadBytes_;
-    std::vector<std::uint8_t> out(slot * z_, 0);
-    auto put64 = [&out](std::size_t off, std::uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            out[off + static_cast<std::size_t>(i)] =
-                static_cast<std::uint8_t>(v >> (8 * i));
-    };
+    // Z slots whatever the occupancy: the real blocks in order, then
+    // dummies (invalidBlockAddr, a zero leaf and zero payload bytes).
+    std::span<std::uint64_t> words = rec.subspan(imageWord);
+    std::fill(words.begin(), words.end(), 0);
+    auto *image = reinterpret_cast<std::uint8_t *>(words.data());
+    const std::size_t slot_bytes = slotHeaderBytes + payloadBytes_;
     unsigned s = 0;
-    for (const auto &blk : bucket.blocks()) {
-        std::size_t base = slot * s++;
-        put64(base, blk.addr);
-        put64(base + 8, blk.leaf);
-        for (std::size_t i = 0;
-             i < payloadBytes_ && i < blk.payload.size(); ++i)
-            out[base + 16 + i] = blk.payload[i];
+    for (const Block &blk : bucket.blocks()) {
+        std::uint8_t *slot = image + s++ * slot_bytes;
+        storeWord(slot, blk.addr);
+        storeWord(slot + 8, blk.leaf);
+        if (!blk.payload.empty())
+            std::memcpy(slot + slotHeaderBytes, blk.payload.data(),
+                        blk.payload.size());
     }
     for (; s < z_; ++s)
-        put64(slot * s, invalidBlockAddr);
-    return out;
+        storeWord(image + s * slot_bytes, invalidBlockAddr);
+    rec[counterWord] = cipher_->seal({image, imageBytes_}, rec[ownerWord]);
 }
 
-Bucket
-TreeStore::deserialize(const std::vector<std::uint8_t> &bytes) const
+void
+TreeStore::unsealRecord(std::size_t r,
+                        std::span<std::uint8_t> image) const
 {
-    const std::size_t slot = 16 + payloadBytes_;
-    fp_assert(bytes.size() == slot * z_,
-              "deserialize: bad bucket image size");
-    auto get64 = [&bytes](std::size_t off) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     bytes[off + static_cast<std::size_t>(i)])
-                 << (8 * i);
-        return v;
-    };
-    Bucket bucket(z_);
-    for (unsigned s = 0; s < z_; ++s) {
-        std::size_t base = slot * s;
-        std::uint64_t addr = get64(base);
-        if (addr == invalidBlockAddr)
-            continue;
-        Block blk;
-        blk.addr = addr;
-        blk.leaf = get64(base + 8);
-        blk.payload.assign(bytes.begin() +
-                               static_cast<std::ptrdiff_t>(base + 16),
-                           bytes.begin() +
-                               static_cast<std::ptrdiff_t>(base + 16 +
-                                                           payloadBytes_));
-        bucket.add(std::move(blk));
-    }
-    return bucket;
+    std::span<const std::uint64_t> rec = record(r);
+    std::memcpy(image.data(), rec.subspan(imageWord).data(),
+                imageBytes_);
+    cipher_->unseal(image, rec[ownerWord], rec[counterWord]);
 }
 
 } // namespace fp::mem

@@ -71,17 +71,16 @@ MerkleTree::combine(Digest bucket_digest, Digest left,
 MerkleTree::Digest
 MerkleTree::bucketDigest(BucketIndex idx) const
 {
-    auto it = nodes_.find(idx);
-    return it == nodes_.end() ? emptyBucket_ : it->second.bucket;
+    const Node *node = nodes_.find(idx);
+    return node ? node->bucket : emptyBucket_;
 }
 
 MerkleTree::Digest
 MerkleTree::subtreeDigest(BucketIndex idx) const
 {
-    auto it = nodes_.find(idx);
-    if (it != nodes_.end())
-        return it->second.subtree;
-    return emptySubtreeByLevel_[geo_.levelOf(idx)];
+    const Node *node = nodes_.find(idx);
+    return node ? node->subtree
+                : emptySubtreeByLevel_[geo_.levelOf(idx)];
 }
 
 bool
@@ -134,9 +133,9 @@ MerkleTree::verifySlice(LeafLabel label, unsigned start_level,
          ++level) {
         const BucketDigest &bd = slice_[level - start_level];
         nodes_
-            .try_emplace(bd.bucket,
-                         Node{emptyBucket_, emptySubtreeByLevel_[level]})
-            .first->second.bucket = bd.digest;
+            .insert(bd.bucket,
+                    Node{emptyBucket_, emptySubtreeByLevel_[level]})
+            .bucket = bd.digest;
     }
     return true;
 }
@@ -203,11 +202,10 @@ MerkleTree::updateBuckets(std::span<const BucketDigest> updates)
                 idx = (childLevel_[c].bucket - 1) / 2;
             else
                 idx = updates[u].bucket;
-            Node &node =
-                nodes_
-                    .try_emplace(idx, Node{emptyBucket_,
-                                           emptySubtreeByLevel_[level]})
-                    .first->second;
+            // child() only looks nodes up, so this reference
+            // outlives no insertion.
+            Node &node = nodes_.insert(
+                idx, Node{emptyBucket_, emptySubtreeByLevel_[level]});
             if (u < end && updates[u].bucket == idx)
                 node.bucket = updates[u++].digest;
             if (level == geo_.leafLevel()) {

@@ -24,6 +24,10 @@
  * Digest storage conceptually lives in untrusted memory next to the
  * buckets (only the root is on-chip); this model does not charge its
  * DRAM traffic — the paper scopes integrity out of its evaluation.
+ * The model keeps the (bucket, subtree) digests of every node that
+ * has ever been written or verified in one flat open-addressing
+ * table for all depths (util/flat_table.hh), which never erases; a
+ * node without an entry has an empty bucket and an empty subtree.
  * The hash is Davies-Meyer over SPECK-64: not production crypto, but
  * a real avalanche function so tamper detection is genuinely
  * exercised by tests.
@@ -34,12 +38,12 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/speck.hh"
 #include "mem/bucket.hh"
 #include "mem/tree_geometry.hh"
+#include "util/flat_table.hh"
 #include "util/stats.hh"
 
 namespace fp::oram
@@ -114,7 +118,9 @@ class MerkleTree
 
     mem::TreeGeometry geo_;
     crypto::Speck64 hasher_;
-    std::unordered_map<BucketIndex, Node> nodes_;
+    /** Digests of the nodes that have them. An insertion can move
+     *  every entry, so no Node reference outlives the next one. */
+    FlatTable<Node> nodes_;
     std::vector<Digest> emptySubtreeByLevel_;
     Digest emptyBucket_;
     Digest root_;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "mem/bucket.hh"
@@ -274,6 +275,20 @@ TEST(TreeStore, CiphertextHidesOccupancy)
               store.rawCiphertext(2).size());
 }
 
+TEST(TreeStoreDeathTest, OversizePayloadFatal)
+{
+    // Both record kinds hold payloadBytes per slot; a longer payload
+    // must not be cut short.
+    TreeGeometry geo(3);
+    for (bool encrypt : {false, true}) {
+        TreeStore store(geo, 4, 8, encrypt);
+        Bucket b(4);
+        b.add(Block(1, 0, std::vector<std::uint8_t>(12, 7)));
+        EXPECT_DEATH(store.writeBucket(1, b),
+                     "12-byte payload exceeds the store's 8 bytes");
+    }
+}
+
 TEST(TreeStore, ProbabilisticRewrites)
 {
     TreeGeometry geo(3);
@@ -312,7 +327,7 @@ TEST(TreeStore, ResidentBlocks)
     EXPECT_EQ(store.residentBlocks(), 3u);
 }
 
-// --- plaintext store vs a std::map reference ----------------------------------
+// --- plaintext and sealed stores vs a std::map reference ----------------------
 
 /** The reference: the blocks of every bucket that holds one, with
  *  payloads as the store returns them (zero-padded to its size). */
@@ -344,15 +359,24 @@ expectBucket(TreeStore &store, const Reference &ref, BucketIndex idx)
  * over 1000 buckets (the index doubles six times), then shrinking to
  * empty. Each deletion is followed by a full sweep of the reference,
  * so an entry stranded behind a hole shows up as a lost bucket.
+ *
+ * A sealed store (@p encrypt) keeps a record for every bucket it has
+ * ever written, and it unseals every record to count resident blocks,
+ * so that count is checked only at the end of each phase.
  */
 void
-differential(std::size_t payload_bytes, std::uint64_t seed)
+differential(std::size_t payload_bytes, std::uint64_t seed,
+             bool encrypt = false)
 {
     TreeGeometry geo(12);
-    TreeStore store(geo, 4, payload_bytes);
+    TreeStore store(geo, 4, payload_bytes, encrypt);
     Reference ref;
+    std::set<BucketIndex> written;
     std::uint64_t resident = 0;
     Rng rng(seed);
+    auto materialized = [&] {
+        return encrypt ? written.size() : ref.size();
+    };
 
     auto step = [&](bool fill, std::uint64_t span) {
         BucketIndex idx;
@@ -391,10 +415,13 @@ differential(std::size_t payload_bytes, std::uint64_t seed)
         resident += n;
 
         store.writeBucket(idx, b);
+        written.insert(idx);
         expectBucket(store, ref, idx);
         expectBucket(store, ref, rng.uniformInt(geo.numBuckets()));
-        EXPECT_EQ(store.materializedBuckets(), ref.size());
-        EXPECT_EQ(store.residentBlocks(), resident);
+        EXPECT_EQ(store.materializedBuckets(), materialized());
+        if (!encrypt) {
+            EXPECT_EQ(store.residentBlocks(), resident);
+        }
         if (erased) {
             for (const auto &entry : ref)
                 expectBucket(store, ref, entry.first);
@@ -403,12 +430,14 @@ differential(std::size_t payload_bytes, std::uint64_t seed)
 
     for (int i = 0; i < 20000; ++i)
         step(ref.size() < 32 && rng.chance(0.5), 80);
+    EXPECT_EQ(store.residentBlocks(), resident);
     for (int i = 0; i < 3000; ++i)
         step(rng.chance(0.7), geo.numBuckets());
     EXPECT_GT(ref.size(), 1000u);
+    EXPECT_EQ(store.residentBlocks(), resident);
     while (!ref.empty())
         step(false, geo.numBuckets());
-    EXPECT_EQ(store.materializedBuckets(), 0u);
+    EXPECT_EQ(store.materializedBuckets(), materialized());
     EXPECT_EQ(store.residentBlocks(), 0u);
 }
 
@@ -420,6 +449,12 @@ TEST(TreeStore, PlainMatchesReference)
 TEST(TreeStore, PlainWithPayloadMatchesReference)
 {
     differential(24, 12);
+}
+
+TEST(TreeStore, SealedMatchesReference)
+{
+    // 4 x (16 + 13) image bytes: the image ends inside a word.
+    differential(13, 13, /*encrypt=*/true);
 }
 
 } // anonymous namespace
