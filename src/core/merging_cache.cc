@@ -79,9 +79,13 @@ MergingAwareCache::setIndex(BucketIndex idx) const
     fp_assert(inRange(x), "setIndex: level outside cached band");
     std::uint64_t y = geo_.offsetInLevel(idx);
 
-    std::uint64_t alloc = levelAlloc_[x - m1_];
-    std::uint64_t frame = levelBase_[x - m1_] + (y % alloc);
-    return (frame / ways_) % sets_.size();
+    // A fully covered level has alloc = 2^x > y, so only the partial
+    // level wraps. Every level's frames are whole sets below
+    // capacity_, so the set needs no wrap either.
+    const std::uint64_t alloc = levelAlloc_[x - m1_];
+    if (y >= alloc)
+        y %= alloc;
+    return (levelBase_[x - m1_] + y) / ways_;
 }
 
 const mem::Bucket *

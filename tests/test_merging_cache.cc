@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "core/merging_cache.hh"
 
@@ -87,6 +89,65 @@ TEST(MergingCache, SetIndexInRangeAndLevelDisjoint)
     }
     for (auto s : level9_sets)
         EXPECT_EQ(level10_sets.count(s), 0u);
+}
+
+TEST(MergingCache, SetIndexMatchesDividingFormula)
+{
+    // Eq. (1) with every division: the frame is the level's base plus
+    // the offset mod the level's frames, and the set is the frame
+    // over the ways, mod the set count. The levels' frames are
+    // allocated here as the constructor does it, from the budget.
+    struct Config
+    {
+        unsigned leaf, m1;
+        std::uint64_t frames;
+        unsigned ways;
+    };
+    const Config configs[] = {
+        {10, 3, 120, 2},   // four full levels, no partial one
+        {10, 3, 200, 2},   // four full levels and a partial one
+        {8, 2, 4, 1},      // one full level
+        {11, 4, 500, 1},   // partial level of 4 frames
+        {12, 4, 1000, 3},  // 3 ways: m1 itself is partial
+        {14, 5, 3000, 5},
+        {16, 6, 16000, 4},
+        {20, 9, 4096, 8},
+    };
+    for (const Config &c : configs) {
+        SCOPED_TRACE(::testing::Message()
+                     << "L " << c.leaf << " m1 " << c.m1 << " frames "
+                     << c.frames << " ways " << c.ways);
+        mem::TreeGeometry geo(c.leaf);
+        MergingAwareCache cache(geo, params(c.m1, c.frames * 256, c.ways));
+        std::vector<std::uint64_t> base, alloc;
+        std::uint64_t used = 0;
+        for (unsigned x = c.m1; x <= c.leaf; ++x) {
+            const std::uint64_t full = std::uint64_t{1} << x;
+            std::uint64_t a = std::min(full, c.frames - used);
+            a -= a % c.ways;
+            if (a == 0)
+                break;
+            base.push_back(used);
+            alloc.push_back(a);
+            used += a;
+            if (a < full)
+                break;
+        }
+        ASSERT_EQ(cache.m2(), c.m1 + alloc.size() - 1);
+        ASSERT_EQ(cache.capacityBuckets(), used);
+        const std::uint64_t sets = used / c.ways;
+        ASSERT_EQ(cache.numSets(), sets);
+        for (unsigned x = c.m1; x <= cache.m2(); ++x) {
+            const std::uint64_t first = (std::uint64_t{1} << x) - 1;
+            for (std::uint64_t y = 0; y < (std::uint64_t{1} << x); ++y) {
+                const std::uint64_t frame =
+                    base[x - c.m1] + y % alloc[x - c.m1];
+                ASSERT_EQ(cache.setIndex(first + y),
+                          frame / c.ways % sets)
+                    << "level " << x << " offset " << y;
+            }
+        }
+    }
 }
 
 TEST(MergingCache, InsertThenExtractHits)
