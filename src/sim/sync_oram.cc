@@ -2,103 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
+#include <cstdint>
 
 #include "mem/tree_store.hh"
 #include "oram/integrity.hh"
+#include "util/flat_table.hh"
 #include "util/logging.hh"
 
 namespace fp::sim
 {
-
-namespace
-{
-
-/**
- * Block counts of the buckets a bulk load has looked at, in a flat
- * open-addressing table (power-of-two size, linear probing). A count
- * is read from the store the first time its bucket is looked at in
- * the current epoch, and then kept by the caller; forget() starts a
- * new epoch, for when the store has changed under the table.
- */
-class OccupancyTable
-{
-  public:
-    explicit OccupancyTable(std::size_t expected)
-    {
-        std::size_t size = 64;
-        while (size < 2 * expected)
-            size *= 2;
-        slots_.resize(size);
-    }
-
-    /** Blocks in bucket @p idx, as the caller has kept them. */
-    unsigned &
-    at(BucketIndex idx, mem::TreeStore &store)
-    {
-        Slot *slot = find(idx);
-        if (slot->bucket == idx && slot->epoch == epoch_)
-            return slot->count;
-        if (slot->bucket != idx) {
-            if (2 * (used_ + 1) > slots_.size()) {
-                grow();
-                slot = find(idx);
-            }
-            ++used_;
-        }
-        *slot = Slot{idx, epoch_, store.readBucket(idx).occupancy()};
-        return slot->count;
-    }
-
-    void
-    forget()
-    {
-        if (++epoch_ == 0) { // wrapped: drop every count instead
-            std::fill(slots_.begin(), slots_.end(), Slot{});
-            used_ = 0;
-        }
-    }
-
-  private:
-    static constexpr BucketIndex noBucket =
-        std::numeric_limits<BucketIndex>::max();
-
-    struct Slot
-    {
-        BucketIndex bucket = noBucket;
-        std::uint32_t epoch = 0;
-        unsigned count = 0;
-    };
-
-    /** The slot holding @p idx, else the empty slot ending its run. */
-    Slot *
-    find(BucketIndex idx)
-    {
-        const std::size_t mask = slots_.size() - 1;
-        std::uint64_t h = idx * 0x9e3779b97f4a7c15ULL;
-        std::size_t s = static_cast<std::size_t>(h ^ (h >> 32)) & mask;
-        while (slots_[s].bucket != idx && slots_[s].bucket != noBucket)
-            s = (s + 1) & mask;
-        return &slots_[s];
-    }
-
-    void
-    grow()
-    {
-        std::vector<Slot> old(2 * slots_.size());
-        old.swap(slots_);
-        for (const Slot &slot : old) {
-            if (slot.bucket != noBucket)
-                *find(slot.bucket) = slot;
-        }
-    }
-
-    std::vector<Slot> slots_;
-    std::size_t used_ = 0;
-    std::uint32_t epoch_ = 0;
-};
-
-} // anonymous namespace
 
 SyncOram::SyncOram(core::ControllerParams controller,
                    const SimConfig &memory)
@@ -181,7 +93,17 @@ SyncOram::bulkLoad(
     std::vector<Placement> staged;
     staged.reserve(blocks.size());
     std::vector<oram::MerkleTree::BucketDigest> digests;
-    OccupancyTable occupancy(blocks.size());
+    // Block counts of the buckets looked at so far. A count is read
+    // from the store the first time its bucket is looked at in the
+    // current epoch; a timed write changes the store under the
+    // counts, so it starts a new epoch.
+    struct Occupancy
+    {
+        std::uint64_t epoch;
+        unsigned count;
+    };
+    FlatTable<Occupancy> occupancy;
+    std::uint64_t epoch = 0;
 
     // Seal each touched bucket once, in ascending bucket order, with
     // its new blocks after the ones it held, in load order (the sort
@@ -225,10 +147,12 @@ SyncOram::bulkLoad(
         for (unsigned level = geo.leafLevel() + 1;
              level-- > floor_level;) {
             BucketIndex idx = geo.bucketAt(label, level);
-            unsigned &count = occupancy.at(idx, store);
-            if (count >= store.z())
+            Occupancy &seen = occupancy.insert(idx, {~0ULL, 0});
+            if (seen.epoch != epoch)
+                seen = {epoch, store.readBucket(idx).occupancy()};
+            if (seen.count >= store.z())
                 continue;
-            ++count;
+            ++seen.count;
             staged.push_back({idx, b, label});
             placed = true;
             break;
@@ -239,7 +163,7 @@ SyncOram::bulkLoad(
             ++slow_path;
             commit();
             write(addr, payload);
-            occupancy.forget();
+            ++epoch;
         }
     }
     commit();

@@ -4,7 +4,8 @@
  * small values: a power-of-two array of (key, value) slots probed
  * linearly from a multiplicative hash of the key, doubled before an
  * insertion would take it past half load. The tree store's record
- * index and the Merkle tree's node digests live in one each.
+ * index, the Merkle tree's node digests and the bulk load's bucket
+ * occupancy counts live in one each.
  *
  * An insertion can grow the table and move every entry, so a pointer
  * or reference to a value is valid only until the next insertion.
