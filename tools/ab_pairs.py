@@ -3,58 +3,46 @@
 (stdlib only).
 
 Each pair runs one workload once in the parent checkout and once in
-the change checkout,
+this checkout (the change),
 
     python3 bench/perf/run.py --workload W --seed S --seconds T
 
-alternating which side goes first, so that drift in the host's speed
-falls on both sides alike. The parent checkout is any other tree of
-the repository, for example one made with `git worktree add` or
-`git clone`; each side builds its own fp_perf under its
-.bench_build/.
+with T the run_seconds of BENCHMARK.json, alternating which side
+goes first, so that drift in the host's speed falls on both sides
+alike. The parent checkout is any other tree of the repository, for
+example one made with `git clone`; each side builds its own fp_perf
+under its .bench_build/.
 
-For every end-to-end metric in the change's BENCHMARK.json it prints
-each side's median and quartiles, the ratio of the medians, the pairs
-the change won (ties count for neither side) and a verdict:
+Pair i of every workload becomes set i of a BENCH JSON per side,
+OUT/parent.json and OUT/change.json, and the tool then runs
 
-  claim holds   the change won at least 9 in 10 pairs, at least 10
-                pairs ran, and the medians differ, in the better
-                direction, by more than the parent's interquartile
-                range;
-  WORSE         the change's median is worse than the parent's by
-                more than the metric's bound;
-  unresolved    the parent's interquartile range exceeds the bound;
-  within bound  none of these.
+    python3 bench/perf/run.py --compare OUT/parent.json OUT/change.json
 
-A simulated metric (deterministic for a seed) reads "identical" or
-"DIFFERS". A run that fails (non-zero exit, an incorrect result or
-failed > 0) is flagged, and the tool then exits 1.
+in this checkout, which prints each metric's medians, quartiles,
+pairs won and verdict. A run that fails (non-zero exit, an incorrect
+result or failed > 0) is reported, and the tool then exits 1;
+otherwise it exits with the comparison's status.
 
     tools/ab_pairs.py --parent ../parent --workload kv_secure
     tools/ab_pairs.py --parent ../parent --workload kv_secure \\
-        --seed 2 --pairs 3 --out pairs.json
+        --seed 2 --pairs 3 --out seed2
 """
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# Simulated metrics: the same value on every run of one seed.
-SIMULATED = ("sim_time_ms", "sim_llc_latency_ns", "path_len",
-             "mem_bytes_per_req")
-CLAIM_WIN_SHARE = 0.9
-CLAIM_MIN_PAIRS = 10
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+RUN_SECONDS = SPEC["run_seconds"]
 
 
-def run(checkout, workload, seed, seconds):
-    """One run.py process; returns (ok, document or None)."""
+def run(checkout, workload, seed):
+    """One run.py process; returns (ok, BENCH JSON entry or None)."""
     cmd = [sys.executable, "bench/perf/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(RUN_SECONDS)]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
                           text=True, stdin=subprocess.DEVNULL)
     lines = proc.stdout.strip().splitlines()
@@ -70,110 +58,63 @@ def run(checkout, workload, seed, seconds):
               f"exit {proc.returncode}, correct {doc['correct']}, "
               f"failed {doc['failed']} of {doc['attempted']}",
               file=sys.stderr)
-    return ok, {name: m["value"] for name, m in doc["metrics"].items()}
-
-
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    return tuple(statistics.quantiles(values, n=4))
-
-
-def verdict(metric, parent, change):
-    """(pairs won, verdict) for one metric over paired runs."""
-    if metric["name"] in SIMULATED:
-        same = len(set(parent) | set(change)) == 1
-        return 0, "identical" if same else "DIFFERS"
-    sign = 1 if metric["better"] == "lower" else -1
-    won = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
-    q1, pmed, q3 = quartiles(parent)
-    cmed = statistics.median(change)
-    if (len(parent) >= CLAIM_MIN_PAIRS
-            and won >= CLAIM_WIN_SHARE * len(parent)
-            and sign * (cmed - pmed) < 0 and abs(cmed - pmed) > q3 - q1):
-        return won, "claim holds"
-    if pmed and sign * (cmed - pmed) / abs(pmed) > metric["bound"]:
-        return won, "WORSE"
-    if pmed and (q3 - q1) / abs(pmed) > metric["bound"]:
-        return won, "unresolved"
-    return won, "within bound"
-
-
-def report(workload, metrics, runs):
-    print(f"{'workload':<17} {'metric':<19} {'parent median [q1, q3]':>34} "
-          f"{'change median [q1, q3]':>34} {'ratio':>7} {'won':>6}  "
-          "verdict")
-    for metric in metrics:
-        name = metric["name"]
-        parent = [r["parent"][name] for r in runs]
-        change = [r["change"][name] for r in runs]
-        won, what = verdict(metric, parent, change)
-        cells = []
-        for values in (parent, change):
-            q1, med, q3 = quartiles(values)
-            cells.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
-        pmed = statistics.median(parent)
-        ratio = statistics.median(change) / pmed if pmed else float("nan")
-        won_cell = "-" if name in SIMULATED else f"{won}/{len(runs)}"
-        print(f"{workload:<17} {name:<19} {cells[0]:>34} {cells[1]:>34} "
-              f"{ratio:>7.3f} {won_cell:>6}  {what}")
+    metrics = {name: m["value"] for name, m in doc["metrics"].items()}
+    metrics["failed_frac"] = doc["failed"] / max(doc["attempted"], 1)
+    return ok, {"correct": doc["correct"], "attempted": doc["attempted"],
+                "failed": doc["failed"], "metrics": metrics}
 
 
 def main():
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True,
                     help="checkout of the parent commit")
-    ap.add_argument("--change", default=str(ROOT),
-                    help="checkout of the change (default: this one)")
     ap.add_argument("--workload", action="append",
-                    choices=[w["name"] for w in spec["workloads"]],
+                    choices=[w["name"] for w in SPEC["workloads"]],
                     help="workload to run (repeatable; default: all)")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--pairs", type=int, default=CLAIM_MIN_PAIRS)
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                    help="run.py's timed-phase budget per run")
-    ap.add_argument("--out", help="write every run's metrics as JSON")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--out", default=str(ROOT / ".bench_build" / "ab_pairs"),
+                    help="directory for parent.json and change.json")
     args = ap.parse_args()
-    if args.pairs < 1 or args.seconds < 0:
-        ap.error("--pairs must be >= 1 and --seconds >= 0")
-    sides = {"parent": Path(args.parent).resolve(),
-             "change": Path(args.change).resolve()}
-    for side, path in sides.items():
-        if not (path / "bench" / "perf" / "run.py").is_file():
-            ap.error(f"--{side} {path} has no bench/perf/run.py")
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+    sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
+    if not (sides["parent"] / "bench" / "perf" / "run.py").is_file():
+        ap.error(f"--parent {sides['parent']} has no bench/perf/run.py")
 
     all_ok = True
-    results = {}
-    for workload in args.workload or [w["name"] for w in spec["workloads"]]:
-        runs = []
+    sets = {side: [{} for _ in range(args.pairs)] for side in sides}
+    for workload in args.workload or [w["name"] for w in SPEC["workloads"]]:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change",
                                                               "parent")
-            pair = {"first": order[0]}
             for side in order:
-                ok, metrics = run(sides[side], workload, args.seed,
-                                  args.seconds)
+                ok, entry = run(sides[side], workload, args.seed)
                 all_ok &= ok
-                if metrics is None:
+                if entry is None:
                     return 1
-                pair[side] = metrics
+                sets[side][i][workload] = entry
             print(f"ab_pairs: {workload} pair {i + 1}/{args.pairs} "
                   f"({order[0]} first)", file=sys.stderr)
-            runs.append(pair)
-        report(workload, spec["end_to_end"], runs)
-        sys.stdout.flush()
-        results[workload] = runs
-    if args.out:
-        Path(args.out).write_text(json.dumps({
-            "seed": args.seed, "seconds": args.seconds,
-            "parent": str(sides["parent"]), "change": str(sides["change"]),
-            "runs": results}, indent=1) + "\n")
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for side, path in sides.items():
+        (out / f"{side}.json").write_text(json.dumps({
+            "schema": "forkpath-perf-v1", "checkout": str(path),
+            "seed": args.seed, "seconds": RUN_SECONDS,
+            "sets": sets[side]}, indent=1) + "\n")
+    sys.stdout.flush()
+    status = subprocess.run(
+        [sys.executable, "bench/perf/run.py", "--compare",
+         str(out / "parent.json"), str(out / "change.json")],
+        cwd=ROOT, stdin=subprocess.DEVNULL).returncode
     if not all_ok:
         print("ab_pairs: a run failed", file=sys.stderr)
-    return 0 if all_ok else 1
+        return 1
+    return status
 
 
 if __name__ == "__main__":
