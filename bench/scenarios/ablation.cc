@@ -8,7 +8,7 @@
  * experiments/ablation.json.
  */
 
-#include "core/access_policy.hh"
+#include "core/controller_params.hh"
 #include "scenarios/scenarios.hh"
 
 namespace fp::bench
@@ -148,7 +148,7 @@ registerAblationScenario()
         // Every registered scheduling policy under its canonical
         // preset, selected by name through the same registry path as
         // --policy.
-        const auto policy_names = core::accessPolicyNames();
+        const auto policy_names = core::policyKindNames();
         for (const auto &name : policy_names)
             add("policy: " + name, sim::withPolicyName(base, name));
 

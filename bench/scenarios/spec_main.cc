@@ -11,7 +11,7 @@
 #include <filesystem>
 #include <iostream>
 
-#include "core/access_policy.hh"
+#include "core/controller_params.hh"
 #include "scenarios/scenarios.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
@@ -56,7 +56,7 @@ benchMain(int argc, char **argv)
     CliArgs args(argc, argv);
     // Discovery flags print one name per line for shell pipelines.
     if (args.getBool("list-policies")) {
-        for (const auto &name : core::accessPolicyNames())
+        for (const auto &name : core::policyKindNames())
             std::cout << name << "\n";
         return 0;
     }

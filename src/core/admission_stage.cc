@@ -12,7 +12,7 @@ namespace fp::core
 AdmissionStage::AdmissionStage(PipelineContext &ctx,
                                PathScheduler &sched)
     : ctx_(ctx), sched_(sched),
-      addrQueue_(ctx.params.addressQueueSize), stats_("admission")
+      addrQueue_(addressQueueSize), stats_("admission")
 {
     stats_.regCounter("admitted", admitted_,
                       "address-queue entries issued downstream");
@@ -28,8 +28,8 @@ AdmissionStage::AdmissionStage(PipelineContext &ctx,
 void
 AdmissionStage::pump(bool pipeline_busy)
 {
-    if (!sched_.policy().admitFrontend(addrQueue_.issuableCount(),
-                                       pipeline_busy)) {
+    if (!ctx_.params.admits(addrQueue_.issuableCount(),
+                            pipeline_busy)) {
         if (addrQueue_.issuableCount() > 0) {
             heldPumps_.inc();
             if (ctx_.traceOn())
@@ -109,7 +109,7 @@ AdmissionStage::pump(bool pipeline_busy)
     }
 
     std::uint64_t batch = admitted_.value() - admitted_before;
-    if (batch > 0 && sched_.policy().kind() == PolicyKind::batched &&
+    if (batch > 0 && ctx_.params.policy == PolicyKind::batched &&
         ctx_.traceOn()) {
         ctx_.trc->instant(obs::Track::admission, "batch_flush",
                           {obs::TraceArg::num("count", batch)});

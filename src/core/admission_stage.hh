@@ -9,7 +9,7 @@
  * the label queue (with backpressure when the queue's real share is
  * full).
  *
- * The drain itself is policy-gated: AccessPolicy::admitFrontend is
+ * The drain itself is policy-gated: ControllerParams::admits is
  * consulted once per pump, which is how the `batched` policy holds
  * arrivals until a full batch is issuable while the backend is busy.
  */
@@ -17,6 +17,7 @@
 #ifndef FP_CORE_ADMISSION_STAGE_HH
 #define FP_CORE_ADMISSION_STAGE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -41,6 +42,10 @@ class AdmissionStage
             respond;
         std::function<bool(const ActiveAccess &)> tryReplaceOrSwap;
     };
+
+    /** Address-queue capacity: LLC requests accepted and not yet
+     *  answered, beyond which OramController::request rejects. */
+    static constexpr std::size_t addressQueueSize = 128;
 
     AdmissionStage(PipelineContext &ctx, PathScheduler &sched);
 

@@ -6,6 +6,23 @@
 namespace fp::core
 {
 
+namespace
+{
+
+struct PolicyInfo
+{
+    PolicyKind kind;
+    const char *name;
+};
+
+constexpr PolicyInfo kRegistry[] = {
+    {PolicyKind::traditional, "traditional"},
+    {PolicyKind::forkpath, "forkpath"},
+    {PolicyKind::batched, "batched"},
+};
+
+} // anonymous namespace
+
 void
 ControllerParams::validate() const
 {
@@ -19,23 +36,12 @@ ControllerParams::validate() const
         fp_fatal("ControllerParams: labelQueueSize must be positive "
                  "(policy '%s' schedules from the label queue)",
                  policyKindName(policy));
-    if (addressQueueSize == 0)
-        fp_fatal("ControllerParams: addressQueueSize must be "
-                 "positive");
     if (recursionFanout == 0)
         fp_fatal("ControllerParams: recursionFanout must be positive "
                  "(posmap blocks hold at least one translation)");
-    if (writeWindow == 0)
-        fp_fatal("ControllerParams: writeWindow must be positive "
-                 "(a zero window never issues a refill)");
     if (policy == PolicyKind::batched && batchSize == 0)
         fp_fatal("ControllerParams: batchSize must be positive for "
                  "the batched policy");
-    if (cachePolicy == CachePolicy::mac && macBucketsPerSet == 0)
-        fp_fatal("ControllerParams: macBucketsPerSet must be "
-                 "positive with the MAC cache");
-    if (blockPhysBytes == 0)
-        fp_fatal("ControllerParams: blockPhysBytes must be positive");
 }
 
 ControllerParams
@@ -52,6 +58,66 @@ ControllerParams::forkPath()
     ControllerParams p;
     applyPolicyPreset(p, PolicyKind::forkpath);
     return p;
+}
+
+PolicyKind
+parsePolicyKind(const std::string &name)
+{
+    for (const PolicyInfo &info : kRegistry) {
+        if (name == info.name)
+            return info.kind;
+    }
+    std::string known;
+    for (const PolicyInfo &info : kRegistry) {
+        if (!known.empty())
+            known += "|";
+        known += info.name;
+    }
+    fp_fatal("unknown access policy '%s' (%s)", name.c_str(),
+             known.c_str());
+}
+
+const char *
+policyKindName(PolicyKind kind)
+{
+    for (const PolicyInfo &info : kRegistry) {
+        if (kind == info.kind)
+            return info.name;
+    }
+    fp_fatal("policyKindName: unregistered PolicyKind %d",
+             static_cast<int>(kind));
+}
+
+std::vector<std::string>
+policyKindNames()
+{
+    std::vector<std::string> names;
+    for (const PolicyInfo &info : kRegistry)
+        names.emplace_back(info.name);
+    return names;
+}
+
+void
+applyPolicyPreset(ControllerParams &params, PolicyKind kind)
+{
+    params.policy = kind;
+    switch (kind) {
+    case PolicyKind::traditional:
+        params.enableDummyReplacing = false;
+        params.labelQueueSize = 1;
+        params.cachePolicy = CachePolicy::none;
+        break;
+    case PolicyKind::forkpath:
+        params.enableDummyReplacing = true;
+        params.labelQueueSize = 64;
+        params.cachePolicy = CachePolicy::mac;
+        break;
+    case PolicyKind::batched:
+        params.enableDummyReplacing = false;
+        params.labelQueueSize = 64;
+        params.cachePolicy = CachePolicy::mac;
+        break;
+    }
 }
 
 } // namespace fp::core

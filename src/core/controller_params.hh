@@ -4,20 +4,49 @@
  * core::OramController and its admission / scheduling / read /
  * writeback stages). Split out of oram_controller.hh so the stage
  * headers can share it without circular includes.
+ *
+ * It is also the one owner of the scheduling policy. The three
+ * registered policies differ only in which of the paper's techniques
+ * are on, and the stages read that from the predicates below:
+ *
+ *   traditional  baseline Path ORAM (Stefanov et al.): no merging, no
+ *                replacing, an unpadded label queue.
+ *   forkpath     the paper's design (the default): a label queue
+ *                padded with dummies, path merging and dummy replacing
+ *                (the last gated by enableDummyReplacing so the
+ *                ablation can switch it off alone).
+ *   batched      merging without replacing; while an access is in
+ *                flight the address queue drains into the scheduler
+ *                only in batches of batchSize.
+ *
+ * The registry functions (parsePolicyKind / policyKindName /
+ * policyKindNames / applyPolicyPreset) are the single path by which
+ * the CLI (--policy=NAME) and the benches select a policy by name.
  */
 
 #ifndef FP_CORE_CONTROLLER_PARAMS_HH
 #define FP_CORE_CONTROLLER_PARAMS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
+#include <vector>
 
-#include "core/access_policy.hh"
+#include "core/label_queue.hh"
 #include "dram/address_mapping.hh"
 #include "oram/oram_params.hh"
 #include "util/types.hh"
 
 namespace fp::core
 {
+
+/** The registered scheduling policies (see file comment). */
+enum class PolicyKind
+{
+    traditional,
+    forkpath,
+    batched,
+};
 
 enum class CachePolicy
 {
@@ -31,12 +60,7 @@ struct ControllerParams
     oram::OramParams oram;
 
     // --- scheduling policy ---------------------------------------------
-    /**
-     * The path-scheduling policy (see core/access_policy.hh).
-     * `forkpath` is the paper's design and the default; `traditional`
-     * is the baseline Path ORAM machine; `batched` drains the address
-     * queue in fixed-size batches.
-     */
+    /** The path-scheduling policy (see the file comment). */
     PolicyKind policy = PolicyKind::forkpath;
     unsigned labelQueueSize = 64;
     /**
@@ -56,9 +80,6 @@ struct ControllerParams
     // --- caching -------------------------------------------------------
     CachePolicy cachePolicy = CachePolicy::none;
     std::uint64_t cacheBudgetBytes = std::uint64_t{1} << 20;
-    unsigned macBucketsPerSet = 2;
-    /** Bottom MAC level; -1 derives m1 from the queue size. */
-    int macM1 = -1;
 
     // --- structure -------------------------------------------------------
     /** Position-map recursion levels modelled as access chains. */
@@ -67,14 +88,6 @@ struct ControllerParams
     unsigned recursionFanout = 8;
     /** PLB capacity in translations (0 = no PLB). */
     std::size_t plbEntries = 0;
-    std::size_t addressQueueSize = 128;
-
-    /**
-     * Background eviction (Ren et al.): while the stash is at or
-     * above its soft capacity, keep running dummy accesses instead
-     * of parking, draining blocks back into the tree.
-     */
-    bool backgroundEviction = true;
 
     /**
      * Maintain and check a Merkle hash tree over the ORAM tree
@@ -84,11 +97,6 @@ struct ControllerParams
     bool enableIntegrity = false;
 
     // --- timing ----------------------------------------------------------
-    /** Outstanding bucket writes during a refill (paces commitment). */
-    unsigned writeWindow = 4;
-    /** Gap between read and write phases (Figure 1(c) idle). */
-    Tick idleGapTicks = 10'000; // 10 ns
-
     /**
      * Periodic (nonstop-stream) operation, paper Section 2.2: when
      * non-zero, an ORAM access starts every this many ticks whether
@@ -98,24 +106,44 @@ struct ControllerParams
      * the simulation with a bounded run.
      */
     Tick periodicIntervalTicks = 0;
-    /** DRAM footprint of one block (meta folded in). */
-    std::uint64_t blockPhysBytes = 64;
     dram::LayoutPolicy layout = dram::LayoutPolicy::subtree;
+
+    /** DRAM footprint of one block (meta folded in). */
+    static constexpr std::uint64_t blockPhysBytes = 64;
 
     std::uint64_t bucketBytes() const
     {
         return blockPhysBytes * oram.z;
     }
 
-    /** True when the selected policy performs path merging. */
+    /** Fork-shaped path merging: read phases start at the retained
+     *  overlap and the refill stops at the scheduled one. Merging
+     *  policies also keep the label queue padded to capacity. */
     bool merging() const { return policy != PolicyKind::traditional; }
+
+    /** Dummy replacing / pending swap (paper Section 3.3 Cases 1-3). */
+    bool replacing() const
+    {
+        return policy == PolicyKind::forkpath && enableDummyReplacing;
+    }
+
+    /**
+     * May the admission stage drain the address queue now, with
+     * @p issuable entries ready and an ORAM access in flight when
+     * @p busy? Only `batched` ever holds; a later pump (at the latest
+     * the one that runs when the pipeline drains) flushes the rest.
+     */
+    bool admits(std::size_t issuable, bool busy) const
+    {
+        return policy != PolicyKind::batched || !busy ||
+               issuable >= batchSize;
+    }
 
     /**
      * Reject configurations the pipeline cannot run (zero-sized
-     * queues, a refill window that never issues, ...) with fp_fatal
-     * instead of silently misbehaving. Called by every
-     * OramController constructor, which covers sim::System,
-     * SyncOram and core::ShardedOram alike.
+     * queues, an empty batch, ...) with fp_fatal instead of silently
+     * misbehaving. Called by every OramController constructor, which
+     * covers sim::System, SyncOram and core::ShardedOram alike.
      */
     void validate() const;
 
@@ -125,6 +153,26 @@ struct ControllerParams
     /** The paper's default Fork Path configuration (queue 64). */
     static ControllerParams forkPath();
 };
+
+/** Parse a registry name ("traditional", "forkpath", "batched");
+ *  unknown names are fatal with the list of valid ones. */
+PolicyKind parsePolicyKind(const std::string &name);
+
+/** The registry name of @p kind. */
+const char *policyKindName(PolicyKind kind);
+
+/** Every registered policy name, in registry order. */
+std::vector<std::string> policyKindNames();
+
+/**
+ * Apply @p kind's canonical scheduling-family preset to @p params:
+ * sets policy, enableDummyReplacing, labelQueueSize and cachePolicy,
+ * leaving the ORAM geometry and every structural/timing knob alone.
+ * This is the one construction path behind
+ * ControllerParams::traditional()/forkPath(), the sim::with*
+ * variant helpers and the --policy CLI flag.
+ */
+void applyPolicyPreset(ControllerParams &params, PolicyKind kind);
 
 } // namespace fp::core
 

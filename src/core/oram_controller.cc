@@ -9,6 +9,14 @@
 namespace fp::core
 {
 
+namespace
+{
+
+/** Gap between read and write phases (Figure 1(c) idle). */
+constexpr Tick idleGapTicks = 10'000; // 10 ns
+
+} // anonymous namespace
+
 const ControllerParams &
 OramController::checked(const ControllerParams &p)
 {
@@ -39,11 +47,8 @@ OramController::OramController(const ControllerParams &params,
             geo_, params_.bucketBytes(), params_.cacheBudgetBytes);
     } else if (params_.cachePolicy == CachePolicy::mac) {
         MergingCacheParams mp;
-        mp.m1 = params_.macM1 >= 0
-                    ? static_cast<unsigned>(params_.macM1)
-                    : macBottomLevel(geo_, params_.labelQueueSize);
+        mp.m1 = macBottomLevel(geo_);
         mp.budgetBytes = params_.cacheBudgetBytes;
-        mp.bucketsPerSet = params_.macBucketsPerSet;
         mp.bucketBytes = params_.bucketBytes();
         mp.z = params_.oram.z;
         mac_ = std::make_unique<MergingAwareCache>(geo_, mp);
@@ -139,7 +144,7 @@ OramController::setTracer(obs::Tracer *tracer)
         tracer->nameTrack(obs::Track::admission, "admission");
         tracer->instant(obs::Track::admission, "policy",
                         {obs::TraceArg::str(
-                            "name", scheduler_.policy().name())});
+                            "name", policyKindName(params_.policy))});
     }
 }
 
@@ -233,9 +238,7 @@ OramController::shouldRunBackend() const
 {
     // Background eviction (Ren et al.): an over-full stash keeps the
     // dummy stream running so refills drain blocks into the tree.
-    bool stash_pressure = params_.backgroundEviction &&
-                          stash_.size() >=
-                              params_.oram.stashCapacity;
+    bool stash_pressure = stash_.size() >= params_.oram.stashCapacity;
     // Periodic mode never parks: the nonstop access stream is the
     // whole point (Section 2.2's timing-channel seal).
     return params_.periodicIntervalTicks != 0 ||
@@ -279,7 +282,7 @@ OramController::maybeStartBackend()
         // write-phase selection will see the newcomer.
         if (shouldRunBackend()) {
             phase_ = Phase::idleGap;
-            eq_.scheduleIn(params_.idleGapTicks, [this] {
+            eq_.scheduleIn(idleGapTicks, [this] {
                 if (phase_ == Phase::idleGap)
                     startWrite();
             });
@@ -291,7 +294,7 @@ OramController::maybeStartBackend()
 
     if (!current_) {
         // Pick a fresh access via the scheduling policy.
-        if (scheduler_.policy().merging() && !shouldRunBackend())
+        if (params_.merging() && !shouldRunBackend())
             return; // never spin pure-dummy cycles while idle
         if (auto acc = scheduler_.selectFresh()) {
             current_ = *acc;
@@ -312,7 +315,7 @@ OramController::maybeStartBackend()
     // A committed dummy's read runs eagerly even when idle (it is
     // off the critical path); its refill parks in onReadDone.
     phase_ = Phase::readWait;
-    Tick when = eq_.now() + params_.idleGapTicks;
+    Tick when = eq_.now() + idleGapTicks;
     if (params_.periodicIntervalTicks != 0) {
         // Pace accesses onto the fixed data-independent grid.
         when = std::max(when, periodicNextStart_);
@@ -330,9 +333,8 @@ OramController::startRead()
 {
     fp_assert(current_.has_value(), "startRead without current");
     phase_ = Phase::reading;
-    unsigned start_level = scheduler_.policy().merging()
-                               ? scheduler_.retainedLevels()
-                               : 0;
+    unsigned start_level =
+        params_.merging() ? scheduler_.retainedLevels() : 0;
     read_.start(*current_, start_level, [this] { onReadDone(); });
 }
 
@@ -400,7 +402,7 @@ OramController::onReadDone()
     }
 
     phase_ = Phase::idleGap;
-    eq_.scheduleIn(params_.idleGapTicks, [this] {
+    eq_.scheduleIn(idleGapTicks, [this] {
         if (phase_ == Phase::idleGap)
             startWrite();
     });
@@ -459,7 +461,7 @@ OramController::onWriteDone()
     stash_.recordOccupancy();
     scheduler_.noteAccessDone(current_->label, wb_.stopLevel());
 
-    if (scheduler_.policy().merging()) {
+    if (params_.merging()) {
         current_ = scheduler_.takePending();
     } else {
         current_.reset();

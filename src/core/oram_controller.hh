@@ -5,14 +5,14 @@
  * four stages sharing one PipelineContext —
  *
  *   AdmissionStage    address queue -> scheduler (core/admission_stage.hh)
- *   PathScheduler     label queue + AccessPolicy  (core/path_scheduler.hh)
+ *   PathScheduler     label queue + access pool   (core/path_scheduler.hh)
  *   ReadEngine        fork-shaped path fetches    (core/read_engine.hh)
  *   WritebackEngine   windowed refills            (core/writeback_engine.hh)
  *
  * — while the controller keeps the LLC request table, the per-access
  * phase machine, and the run-level stats. Which of the paper's
  * techniques are active is decided by the ControllerParams::policy
- * scheduling policy (core/access_policy.hh): `traditional` is the
+ * scheduling policy (core/controller_params.hh): `traditional` is the
  * baseline Path ORAM machine, `forkpath` (default) the paper's
  * design, `batched` a batch-draining variant.
  *
@@ -47,7 +47,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/access_policy.hh"
 #include "core/address_queue.hh"
 #include "core/admission_stage.hh"
 #include "core/controller_params.hh"
@@ -238,8 +237,6 @@ class OramController
     // --- pipeline stage access -------------------------------------------
     AdmissionStage &admission() { return admission_; }
     PathScheduler &scheduler() { return scheduler_; }
-    /** The active scheduling policy (see core/access_policy.hh). */
-    const AccessPolicy &policy() const { return scheduler_.policy(); }
 
     /** Record the adversary-visible access shapes (security tests). */
     void setRevealTraceEnabled(bool enabled)

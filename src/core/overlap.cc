@@ -54,8 +54,7 @@ expectedMergeSavedBuckets(const mem::TreeGeometry &geo, unsigned q)
 }
 
 unsigned
-macBottomLevel(const mem::TreeGeometry &geo,
-               unsigned label_queue_size)
+macBottomLevel(const mem::TreeGeometry &geo)
 {
     // len_overlap is the overlap any two *consecutive* merged paths
     // are guaranteed on average (the pairwise expectation, ~2), not
@@ -64,7 +63,6 @@ macBottomLevel(const mem::TreeGeometry &geo,
     // band that starts at the low tail is what lets MAC match
     // treetop's useful coverage. (With 256 B buckets the paper's
     // 1 MB budget then spans levels 2..11 almost exactly.)
-    (void)label_queue_size;
     double len = expectedPairwiseOverlap(geo);
     auto m1 = static_cast<unsigned>(len) + 1;
     if (m1 > geo.leafLevel())

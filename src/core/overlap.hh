@@ -40,11 +40,12 @@ double expectedBestOverlap(const mem::TreeGeometry &geo,
 
 /**
  * The merging-aware cache's bottom cached level:
- * m1 = floor(expected best overlap) + 1 (paper Section 3.5, levels
- * below len_overlap are almost never fetched once merging is on).
+ * m1 = floor(expected pairwise overlap) + 1, clamped to the leaf
+ * level (paper Section 3.5: levels below len_overlap are almost never
+ * fetched once merging is on). The pairwise overlap is 2 - 2^-L, so
+ * m1 is 2 for every L >= 2.
  */
-unsigned macBottomLevel(const mem::TreeGeometry &geo,
-                        unsigned label_queue_size);
+unsigned macBottomLevel(const mem::TreeGeometry &geo);
 
 /**
  * Expected tree buckets a merged access saves over the naive 2L

@@ -13,7 +13,6 @@ PathScheduler::PathScheduler(PipelineContext &ctx,
       labelQueue_(ctx.geo, ctx.params.labelQueueSize,
                   ctx.params.agingThreshold, ctx.params.dummyPolicy,
                   ctx.params.oram.seed ^ 0x1abe1),
-      policy_(makeAccessPolicy(ctx.params)),
       overlapHist_(ctx.geo.numLevels() + 1, 1.0),
       stats_("path_scheduler")
 {
@@ -43,10 +42,18 @@ PathScheduler::enqueue(const ActiveAccess &access)
     fp_assert(ok, "label queue rejected an overflow insert");
 }
 
+std::optional<LabelEntry>
+PathScheduler::selectNext(LeafLabel from)
+{
+    if (ctx_.params.merging())
+        labelQueue_.ensureFull();
+    return labelQueue_.selectNext(from);
+}
+
 std::optional<ActiveAccess>
 PathScheduler::selectFresh()
 {
-    auto entry = policy_->selectNext(labelQueue_, prevLabel_);
+    auto entry = selectNext(prevLabel_);
     if (!entry)
         return std::nullopt;
     return toActive(*entry);
@@ -56,8 +63,8 @@ unsigned
 PathScheduler::scheduleWriteback(const ActiveAccess &cur)
 {
     unsigned stop = 0;
-    if (policy_->merging()) {
-        auto entry = policy_->selectNext(labelQueue_, cur.label);
+    if (ctx_.params.merging()) {
+        auto entry = selectNext(cur.label);
         fp_assert(entry.has_value(), "full queue returned nothing");
         pending_ = toActive(*entry);
         stop = std::min<unsigned>(
@@ -77,7 +84,7 @@ PathScheduler::tryReplaceOrSwap(
     const ActiveAccess &incoming,
     const std::optional<ActiveAccess> &current)
 {
-    if (!policy_->replacing())
+    if (!ctx_.params.replacing())
         return false;
     if (!wb_.active() || !pending_ || !current)
         return false;

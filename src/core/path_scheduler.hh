@@ -1,8 +1,8 @@
 /**
  * @file
- * Scheduling stage of the access pipeline: owns the label queue, the
- * pool of admitted-but-unscheduled accesses and the AccessPolicy, and
- * makes every path decision —
+ * Scheduling stage of the access pipeline: owns the label queue and
+ * the pool of admitted-but-unscheduled accesses, and makes every path
+ * decision —
  *
  *  - which access runs next when the backend goes idle (selectFresh);
  *  - which access is scheduled as `pending` at write issue, defining
@@ -11,9 +11,9 @@
  *    pending slot while the refill's crossing bucket is unissued
  *    (tryReplaceOrSwap — paper Section 3.3 Cases 1-3).
  *
- * The policy object decides padding and selection; the scheduler owns
- * the mechanics and the scheduling stats (overlap histogram, dummy
- * replacements, pending swaps).
+ * The policy predicates of ControllerParams decide padding, merging
+ * and replacing; the scheduler owns the mechanics and the scheduling
+ * stats (overlap histogram, dummy replacements, pending swaps).
  */
 
 #ifndef FP_CORE_PATH_SCHEDULER_HH
@@ -23,7 +23,7 @@
 #include <optional>
 #include <unordered_map>
 
-#include "core/access_policy.hh"
+#include "core/label_queue.hh"
 #include "core/pipeline.hh"
 #include "core/writeback_engine.hh"
 #include "util/stats.hh"
@@ -35,8 +35,6 @@ class PathScheduler
 {
   public:
     PathScheduler(PipelineContext &ctx, WritebackEngine &wb);
-
-    const AccessPolicy &policy() const { return *policy_; }
 
     LabelQueue &labelQueue() { return labelQueue_; }
     const LabelQueue &labelQueue() const { return labelQueue_; }
@@ -118,13 +116,17 @@ class PathScheduler
     fp::StatGroup &stats() { return stats_; }
 
   private:
+    /** Select the next access w.r.t. the in-flight path @p from.
+     *  Merging policies first pad the queue back to capacity, so the
+     *  revealed overlap statistics stay intensity-independent
+     *  (Figure 7). */
+    std::optional<LabelEntry> selectNext(LeafLabel from);
     ActiveAccess toActive(const LabelEntry &entry);
 
     PipelineContext &ctx_;
     WritebackEngine &wb_;
 
     LabelQueue labelQueue_;
-    std::unique_ptr<AccessPolicy> policy_;
 
     /** Real accesses parked in the label queue, keyed by token. */
     std::unordered_map<std::uint64_t, ActiveAccess> accessPool_;

@@ -8,9 +8,9 @@
  *   AdmissionStage   drains the address queue into the scheduler
  *                    (stash shortcut, MAC data hit, PLB chain start,
  *                    policy-gated batching);
- *   PathScheduler    owns the label queue, the access pool and the
- *                    AccessPolicy; picks paths and handles dummy
- *                    replacing / pending swaps;
+ *   PathScheduler    owns the label queue and the access pool;
+ *                    picks paths and handles dummy replacing /
+ *                    pending swaps;
  *   ReadEngine       runs one fork-shaped read phase against the
  *                    memory backend;
  *   WritebackEngine  runs one windowed refill phase.

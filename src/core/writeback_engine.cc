@@ -11,6 +11,14 @@
 namespace fp::core
 {
 
+namespace
+{
+
+/** Outstanding bucket writes during a refill (paces commitment). */
+constexpr unsigned writeWindow = 4;
+
+} // anonymous namespace
+
 WritebackEngine::WritebackEngine(PipelineContext &ctx)
     : ctx_(ctx), stats_("writeback_engine")
 {
@@ -50,7 +58,7 @@ WritebackEngine::pump()
 {
     if (!active_)
         return;
-    while (outstanding_ < ctx_.params.writeWindow &&
+    while (outstanding_ < writeWindow &&
            nextLevel_ >= static_cast<int>(stopLevel_)) {
         writeBucketAt(static_cast<unsigned>(nextLevel_));
         --nextLevel_;

@@ -2,10 +2,10 @@
  * @file
  * Writeback stage of the access pipeline: one windowed refill phase
  * (paper Figure 1(c) write half). Buckets are filled from the stash
- * and issued leaf -> stop level with at most
- * ControllerParams::writeWindow outstanding, so the deepest (cheapest
- * to re-plan) levels commit first and the stop level can still be
- * deepened by dummy replacing while the shallow levels are unissued.
+ * and issued leaf -> stop level with at most four writes outstanding,
+ * so the deepest (cheapest to re-plan) levels commit first and the
+ * stop level can still be deepened by dummy replacing while the
+ * shallow levels are unissued.
  */
 
 #ifndef FP_CORE_WRITEBACK_ENGINE_HH

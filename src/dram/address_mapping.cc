@@ -12,46 +12,12 @@ AddressMapping::AddressMapping(const DramOrganization &org)
     fp_assert(org.channels > 0 && org.banksTotal() > 0 &&
                   org.rowBytes > 0,
               "AddressMapping: bad organization");
-    if (org.mapPolicy == AddressMapPolicy::lineInterleaved) {
-        // The line interleave places consecutive bursts of one channel
-        // at consecutive burstBytes offsets of that channel's address
-        // space, so a burst stays within one row only when rows are a
-        // whole number of bursts. Otherwise decode() would charge a
-        // row-straddling burst entirely to the row of its first byte,
-        // silently mis-modelling row-buffer behaviour — reject the
-        // organization up front instead.
-        if (org.burstBytes == 0)
-            fp_fatal("line-interleaved mapping needs a non-zero burst "
-                     "size");
-        if (org.rowBytes % org.burstBytes != 0)
-            fp_fatal("line-interleaved mapping requires rowBytes (%llu) "
-                     "to be a multiple of burstBytes (%llu); a burst "
-                     "would straddle a row boundary but be charged to "
-                     "a single row",
-                     static_cast<unsigned long long>(org.rowBytes),
-                     static_cast<unsigned long long>(org.burstBytes));
-    }
 }
 
 DramLocation
 AddressMapping::decode(Addr addr) const
 {
     DramLocation loc;
-    if (org_.mapPolicy == AddressMapPolicy::lineInterleaved) {
-        // Burst-granularity channel interleave, then row/bank split
-        // within the channel (classic bandwidth-first mapping).
-        std::uint64_t line = addr / org_.burstBytes;
-        loc.channel = static_cast<unsigned>(line % org_.channels);
-        std::uint64_t per_ch_addr =
-            (line / org_.channels) * org_.burstBytes +
-            addr % org_.burstBytes;
-        loc.column = per_ch_addr % org_.rowBytes;
-        std::uint64_t row_id = per_ch_addr / org_.rowBytes;
-        loc.bank = static_cast<unsigned>(row_id % org_.banksTotal());
-        loc.row = row_id / org_.banksTotal();
-        return loc;
-    }
-
     loc.column = addr % org_.rowBytes;
     std::uint64_t row_id = addr / org_.rowBytes;
     loc.channel = static_cast<unsigned>(row_id % org_.channels);

@@ -64,17 +64,6 @@ enum class PagePolicy
     closed, //!< Auto-precharge after every access.
 };
 
-/** Byte-address decomposition scheme. */
-enum class AddressMapPolicy
-{
-    /** Rows interleave across channels, then banks (default: keeps
-     *  one ORAM subtree inside one row of one channel). */
-    rowInterleaved,
-    /** Cache-line interleave across channels first (classic
-     *  insecure-system mapping; scatters subtrees). */
-    lineInterleaved,
-};
-
 struct DramOrganization
 {
     unsigned channels = 2;
@@ -82,7 +71,6 @@ struct DramOrganization
     unsigned banksPerRank = 8;
     std::uint64_t rowBytes = 8192;
     std::uint64_t burstBytes = 64;  //!< One BL8 burst on a x64 bus.
-    AddressMapPolicy mapPolicy = AddressMapPolicy::rowInterleaved;
 
     unsigned banksTotal() const { return ranksPerChannel * banksPerRank; }
 

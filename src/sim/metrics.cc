@@ -30,7 +30,7 @@ controllerEnergyNj(const core::OramController &ctrl, Tick sim_time,
     // Leakage over on-chip structures: stash + cache budget.
     double onchip_mb =
         static_cast<double>(ctrl.params().oram.stashCapacity *
-                            (ctrl.params().blockPhysBytes + 16)) /
+                            (core::ControllerParams::blockPhysBytes + 16)) /
         (1024.0 * 1024.0);
     if (ctrl.params().cachePolicy != core::CachePolicy::none) {
         onchip_mb += static_cast<double>(

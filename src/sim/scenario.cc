@@ -9,7 +9,7 @@
 #include <sstream>
 #include <utility>
 
-#include "core/access_policy.hh"
+#include "core/controller_params.hh"
 #include "util/logging.hh"
 #include "workload/mixes.hh"
 
@@ -355,7 +355,7 @@ overrideTable()
              // parsePolicyKind is fatal on unknown names but without
              // the spec location; check here for a better message.
              const std::string v = c.str();
-             const auto names = core::accessPolicyNames();
+             const auto names = core::policyKindNames();
              if (std::find(names.begin(), names.end(), v) ==
                  names.end())
                  c.fail("unknown policy '" + v + "'");
@@ -646,6 +646,12 @@ applySpecOverrides(SimConfig &cfg,
         specFail(src, where,
                  "\"batch-size\" requires the batched policy (add "
                  "\"policy\": \"batched\")");
+    }
+    if (keyPresent(ovs, "enable-replacing") &&
+        cfg.controller.policy != core::PolicyKind::forkpath) {
+        specFail(src, where,
+                 "\"enable-replacing\" requires the forkpath policy "
+                 "(only forkpath replaces dummies)");
     }
     if (keyPresent(ovs, "cache-bytes") &&
         cfg.controller.cachePolicy == core::CachePolicy::none) {

@@ -48,8 +48,8 @@ applyObsFlags(SimConfig &cfg, const CliArgs &args)
                  static_cast<long long>(interval));
     cfg.obs.statsIntervalTicks = static_cast<Tick>(interval);
 
-    if (args.has("profile-requests"))
-        cfg.obs.profileRequests = true;
+    cfg.obs.profileRequests =
+        args.getBool("profile-requests", cfg.obs.profileRequests);
     cfg.obs.profileOut =
         args.getString("profile-out", cfg.obs.profileOut);
 

@@ -156,7 +156,7 @@ System::System(const SimConfig &cfg,
         // the core count (per-core maxOutstanding each): 64 at the
         // Table-1 default of 16 outstanding x 4 cores.
         sink_ = std::make_unique<InsecureSink>(
-            stacks_[0].mem->top(), cfg_.controller.blockPhysBytes,
+            stacks_[0].mem->top(), core::ControllerParams::blockPhysBytes,
             std::size_t{cfg_.maxOutstanding} * cfg_.cores);
     } else if (sharded) {
         std::vector<mem::MemoryBackend *> tops;

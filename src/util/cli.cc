@@ -82,7 +82,13 @@ CliArgs::getBool(const std::string &name, bool def) const
     if (it == flags_.end())
         return def;
     const std::string &v = it->second;
-    return v == "true" || v == "1" || v == "yes" || v == "on";
+    if (v == "true" || v == "1" || v == "yes" || v == "on")
+        return true;
+    if (v == "false" || v == "0" || v == "no" || v == "off")
+        return false;
+    fp_fatal("--%s expects a boolean (got '%s'; use true|1|yes|on or "
+             "false|0|no|off)",
+             name.c_str(), v.c_str());
 }
 
 } // namespace fp

@@ -27,6 +27,9 @@ class CliArgs
      *  out of range for the type) is fatal, naming the flag. */
     std::int64_t getInt(const std::string &name, std::int64_t def) const;
     double getDouble(const std::string &name, double def) const;
+    /** Boolean flags: a bare `--name` is true; a value must be one
+     *  of true/1/yes/on or false/0/no/off, else fatal, naming the
+     *  flag. */
     bool getBool(const std::string &name, bool def = false) const;
 
     /** Positional (non-flag) arguments in order. */

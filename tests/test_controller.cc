@@ -133,7 +133,6 @@ TEST(Controller, MergeWithMacReadYourWrites)
 {
     auto p = smallParams();
     p.cachePolicy = CachePolicy::mac;
-    p.macM1 = 2;
     p.cacheBudgetBytes = 16 << 10;
     Harness h(p);
     randomWorkload(h, 48, 600, 17);
@@ -309,7 +308,6 @@ TEST(Controller, MacGetsHitsUnderMerging)
 {
     auto p = smallParams(8);
     p.cachePolicy = CachePolicy::mac;
-    p.macM1 = 2;
     p.cacheBudgetBytes = 64 << 10;
     Harness h(p);
     randomWorkload(h, 64, 400, 41);
@@ -383,19 +381,21 @@ TEST(Controller, StashOccupancyBounded)
 
 TEST(Controller, RejectsWhenAddressQueueFull)
 {
-    auto p = smallParams();
-    p.addressQueueSize = 2;
-    Harness h(p);
-    // Without running the event loop, flood the queue.
-    int cb = 0;
-    auto noop = [&](Tick, const std::vector<std::uint8_t> &) { ++cb; };
-    EXPECT_NE(h.ctrl.request(oram::Op::read, 1, {}, noop), 0u);
-    EXPECT_NE(h.ctrl.request(oram::Op::read, 2, {}, noop), 0u);
-    // Queue can be full now (entries pending until events run).
-    if (!h.ctrl.canAccept()) {
-        EXPECT_EQ(h.ctrl.request(oram::Op::read, 3, {}, noop), 0u);
-    }
+    Harness h(smallParams());
+    // Without running the event loop, flood the queue: every
+    // distinct-address request holds an entry until it is answered.
+    const std::size_t cap = AdmissionStage::addressQueueSize;
+    std::size_t cb = 0;
+    auto count = [&](Tick, const std::vector<std::uint8_t> &) { ++cb; };
+    for (BlockAddr a = 0; a < cap; ++a)
+        EXPECT_NE(h.ctrl.request(oram::Op::read, a, {}, count), 0u)
+            << a;
+    EXPECT_FALSE(h.ctrl.canAccept());
+    EXPECT_EQ(h.ctrl.request(oram::Op::read, cap, {}, count), 0u);
     h.eq.run();
+    // Every accepted request is answered; the rejected one never is.
+    EXPECT_EQ(cb, cap);
+    EXPECT_TRUE(h.ctrl.canAccept());
 }
 
 } // anonymous namespace

@@ -61,10 +61,8 @@ TEST_P(ControllerSweep, ContractHolds)
     p.labelQueueSize = sc.queueSize;
     p.cachePolicy = sc.cache;
     p.cacheBudgetBytes = 16 << 10;
-    p.macM1 = sc.cache == CachePolicy::mac ? 2 : -1;
     p.recursionDepth = sc.recursionDepth;
     p.plbEntries = sc.recursionDepth > 0 ? 64 : 0;
-    p.blockPhysBytes = 64;
 
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(sc.channels),

@@ -65,41 +65,6 @@ TEST(AddressMapping, AllFieldsInRange)
     }
 }
 
-TEST(AddressMapping, LineInterleaveRejectsRowStraddlingBursts)
-{
-    // Regression: with rowBytes not a multiple of burstBytes (per
-    // channel), the line interleave places bursts that straddle a row
-    // boundary, but decode() charges each burst entirely to the row
-    // of its first byte — silently mis-modelling row-buffer hits.
-    // Such an organization is now rejected at construction.
-    DramOrganization org;
-    org.rowBytes = 8192;
-    org.burstBytes = 96; // 8192 % 96 != 0
-    org.mapPolicy = AddressMapPolicy::lineInterleaved;
-    ScopedRecoverableFailures recover;
-    EXPECT_THROW(AddressMapping{org}, SimFailure);
-
-    // A zero burst size would divide by zero before it straddled.
-    DramOrganization zero;
-    zero.burstBytes = 0;
-    zero.mapPolicy = AddressMapPolicy::lineInterleaved;
-    EXPECT_THROW(AddressMapping{zero}, SimFailure);
-
-    // The row interleave never splits on burst granularity, so the
-    // same organization stays legal there.
-    DramOrganization row_ok;
-    row_ok.rowBytes = 8192;
-    row_ok.burstBytes = 96;
-    EXPECT_NO_THROW(AddressMapping{row_ok});
-
-    // And a burst-aligned row is fine under the line interleave.
-    DramOrganization line_ok;
-    line_ok.rowBytes = 8192;
-    line_ok.burstBytes = 64;
-    line_ok.mapPolicy = AddressMapPolicy::lineInterleaved;
-    EXPECT_NO_THROW(AddressMapping{line_ok});
-}
-
 // --- bucket layout -----------------------------------------------------------
 
 TEST(BucketLayout, LinearIsDense)

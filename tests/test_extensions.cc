@@ -121,7 +121,6 @@ TEST(BackgroundEviction, DrainsOverfullStash)
     p.oram.seed = 41;
     p.oram.stashCapacity = 30; // tiny soft capacity
     p.labelQueueSize = 8;
-    p.backgroundEviction = true;
     EventQueue eq;
     dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
     dram::DramBackend mem(dram);
@@ -135,27 +134,6 @@ TEST(BackgroundEviction, DrainsOverfullStash)
     // The run ends quiescent: pressure-driven dummies must have
     // brought the stash back under its soft capacity.
     EXPECT_LT(ctrl.stash().size(), 30u);
-}
-
-TEST(BackgroundEviction, DisabledLeavesStashAlone)
-{
-    core::ControllerParams p;
-    p.oram.leafLevel = 7;
-    p.oram.payloadBytes = 0;
-    p.oram.seed = 41;
-    p.oram.stashCapacity = 1; // pressure would always be on
-    p.labelQueueSize = 8;
-    p.backgroundEviction = false;
-    EventQueue eq;
-    dram::DramSystem dram(dram::DramParams::ddr3_1600(2), eq);
-    dram::DramBackend mem(dram);
-    core::OramController ctrl(p, eq, mem);
-    ctrl.request(oram::Op::write, 1, {}, [](Tick, const auto &) {});
-    eq.run();
-    // Without background eviction the controller parks even though
-    // the stash exceeds its (absurd) soft capacity; the event queue
-    // must still drain rather than spin dummies forever.
-    EXPECT_TRUE(eq.empty());
 }
 
 // --- trace I/O ------------------------------------------------------------

@@ -315,7 +315,6 @@ TEST(MerkleController, IntegrityWithMacAndDataHits)
 {
     auto p = integrityParams();
     p.cachePolicy = core::CachePolicy::mac;
-    p.macM1 = 2;
     p.cacheBudgetBytes = 32 << 10;
     Harness h(p);
     Rng rng(5);

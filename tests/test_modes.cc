@@ -2,7 +2,7 @@
  * @file
  * Tests of the operating-mode options added around the core design:
  * periodic (nonstop-stream) operation, the closed-page DRAM policy,
- * line-interleaved address mapping, and JSON result export.
+ * and JSON result export.
  */
 
 #include <gtest/gtest.h>
@@ -207,49 +207,6 @@ TEST(ClosedPage, ConflictNoSlowerThanOpenPolicy)
     Tick t = timedAccess(dram, eq, 8192 * 8);
     auto &p = params.timing;
     EXPECT_EQ(t, p.cycles(p.tRCD + p.cl + 4 * p.tBURST));
-}
-
-// --- line-interleaved mapping ------------------------------------------------
-
-TEST(LineInterleave, RotatesChannelsPerBurst)
-{
-    dram::DramOrganization org;
-    org.channels = 2;
-    org.mapPolicy = dram::AddressMapPolicy::lineInterleaved;
-    dram::AddressMapping map(org);
-    EXPECT_EQ(map.decode(0).channel, 0u);
-    EXPECT_EQ(map.decode(64).channel, 1u);
-    EXPECT_EQ(map.decode(128).channel, 0u);
-}
-
-TEST(LineInterleave, FieldsInRange)
-{
-    dram::DramOrganization org;
-    org.mapPolicy = dram::AddressMapPolicy::lineInterleaved;
-    dram::AddressMapping map(org);
-    for (Addr a = 0; a < (1ULL << 24); a += 4093) {
-        auto loc = map.decode(a);
-        EXPECT_LT(loc.channel, org.channels);
-        EXPECT_LT(loc.bank, org.banksTotal());
-        EXPECT_LT(loc.column, org.rowBytes);
-    }
-}
-
-TEST(LineInterleave, DistinctAddressesDistinctLocations)
-{
-    dram::DramOrganization org;
-    org.mapPolicy = dram::AddressMapPolicy::lineInterleaved;
-    dram::AddressMapping map(org);
-    auto key = [&](Addr a) {
-        auto loc = map.decode(a);
-        return std::tuple(loc.channel, loc.bank, loc.row,
-                          loc.column);
-    };
-    std::set<std::tuple<unsigned, unsigned, std::uint64_t,
-                        std::uint64_t>>
-        seen;
-    for (Addr a = 0; a < 1 << 16; a += 64)
-        EXPECT_TRUE(seen.insert(key(a)).second) << a;
 }
 
 // --- JSON -----------------------------------------------------------------

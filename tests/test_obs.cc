@@ -23,6 +23,7 @@
 #include "sim/runner.hh"
 #include "sim/sweep.hh"
 #include "sim/system.hh"
+#include "util/cli.hh"
 #include "util/event_queue.hh"
 #include "util/json.hh"
 #include "workload/spec_profiles.hh"
@@ -583,6 +584,40 @@ TEST(Profiler, ProfileOutWritesReport)
     ASSERT_GT(stages.size(), 0u);
     EXPECT_NE(stages.at(0).find("buckets"), nullptr);
     EXPECT_NE(stages.at(0).find("bucket_width"), nullptr);
+}
+
+// --- observability flags --------------------------------------------------
+
+/** cfg.obs.profileRequests after applyObsFlags on @p flags, starting
+ *  from @p start. */
+bool
+profileRequestsAfter(std::vector<const char *> flags, bool start = false)
+{
+    flags.insert(flags.begin(), "prog");
+    CliArgs args(static_cast<int>(flags.size()),
+                 const_cast<char **>(flags.data()));
+    sim::SimConfig cfg = obsConfig();
+    cfg.obs.profileRequests = start;
+    sim::applyObsFlags(cfg, args);
+    return cfg.obs.profileRequests;
+}
+
+TEST(ObsFlags, ProfileRequestsIsABooleanFlag)
+{
+    EXPECT_FALSE(profileRequestsAfter({}));
+    EXPECT_TRUE(profileRequestsAfter({}, true));
+    EXPECT_TRUE(profileRequestsAfter({"--profile-requests"}));
+    EXPECT_TRUE(profileRequestsAfter({"--profile-requests=yes"}));
+    // An explicit false turns profiling off, not on.
+    EXPECT_FALSE(profileRequestsAfter({"--profile-requests=false"}));
+    EXPECT_FALSE(profileRequestsAfter({"--profile-requests=0"}, true));
+}
+
+TEST(ObsFlagsDeath, ProfileRequestsRejectsNonBooleans)
+{
+    EXPECT_EXIT(profileRequestsAfter({"--profile-requests=maybe"}),
+                testing::ExitedWithCode(1),
+                "--profile-requests expects a boolean");
 }
 
 // --- interval-stats end-of-run flush -------------------------------------

@@ -67,17 +67,13 @@ TEST(Overlap, MatchesMonteCarlo)
 
 TEST(Overlap, MacBottomLevel)
 {
-    mem::TreeGeometry geo(24);
-    // len_overlap is the pairwise expectation (~2 - eps) -> m1 = 2,
-    // independent of queue size (see macBottomLevel's rationale).
-    EXPECT_EQ(macBottomLevel(geo, 64), 2u);
-    EXPECT_EQ(macBottomLevel(geo, 1), 2u);
-}
-
-TEST(Overlap, MacBottomLevelClamped)
-{
-    mem::TreeGeometry geo(3);
-    EXPECT_LE(macBottomLevel(geo, 1 << 20), geo.leafLevel());
+    // len_overlap is the pairwise expectation, 2 - 2^-L -> m1 = 2 for
+    // every L >= 2 (see macBottomLevel's rationale).
+    for (unsigned leaf = 2; leaf <= 30; ++leaf)
+        EXPECT_EQ(macBottomLevel(mem::TreeGeometry(leaf)), 2u)
+            << "L=" << leaf;
+    // At L = 1 the band is clamped to the leaf level.
+    EXPECT_EQ(macBottomLevel(mem::TreeGeometry(1)), 1u);
 }
 
 } // anonymous namespace

@@ -1,16 +1,16 @@
 /**
  * @file
- * Tests of the scheduling-policy seam (core::AccessPolicy): registry
+ * Tests of the scheduling policy as ControllerParams owns it: registry
  * name parsing, the canonical presets behind the legacy factories,
- * ControllerParams validation at construction, the policy objects'
- * admission/selection contracts, end-to-end batched runs (including
- * determinism and the batching hold actually firing), and the
- * --policy/--batch-size flag plumbing through sim::ScenarioContext.
+ * ControllerParams validation at construction, the merging /
+ * replacing / admission predicates, end-to-end batched runs (including
+ * determinism and the batching hold actually firing), replacing only
+ * under forkpath, and the --policy/--batch-size flag plumbing through
+ * sim::ScenarioContext.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/access_policy.hh"
 #include "core/controller_params.hh"
 #include "core/oram_controller.hh"
 #include "mem/tree_store.hh"
@@ -33,7 +33,7 @@ namespace
 
 TEST(PolicyRegistry, NamesRoundTripThroughParse)
 {
-    const auto names = core::accessPolicyNames();
+    const auto names = core::policyKindNames();
     ASSERT_EQ(names.size(), 3u);
     EXPECT_EQ(names[0], "traditional");
     EXPECT_EQ(names[1], "forkpath");
@@ -71,61 +71,62 @@ TEST(PolicyRegistry, PresetsBackTheLegacyFactories)
     EXPECT_EQ(fork.labelQueueSize, fork_factory.labelQueueSize);
     EXPECT_EQ(fork.cachePolicy, fork_factory.cachePolicy);
 
-    // Presets leave the ORAM geometry and timing knobs alone.
+    // Presets leave the ORAM geometry and the other knobs alone.
     core::ControllerParams geo;
     geo.oram.leafLevel = 11;
-    geo.writeWindow = 9;
+    geo.agingThreshold = 9;
     core::applyPolicyPreset(geo, core::PolicyKind::batched);
     EXPECT_EQ(geo.policy, core::PolicyKind::batched);
     EXPECT_EQ(geo.oram.leafLevel, 11u);
-    EXPECT_EQ(geo.writeWindow, 9u);
+    EXPECT_EQ(geo.agingThreshold, 9u);
 }
 
 // ---------------------------------------------------------------------------
-// Policy objects.
+// Policy predicates.
 
-TEST(PolicyObjects, FlagsFollowTheParams)
+TEST(PolicyPredicates, FlagsFollowTheParams)
 {
-    auto pol = core::makeAccessPolicy(
-        core::ControllerParams::traditional());
-    EXPECT_EQ(pol->kind(), core::PolicyKind::traditional);
-    EXPECT_STREQ(pol->name(), "traditional");
-    EXPECT_FALSE(pol->merging());
-    EXPECT_FALSE(pol->replacing());
-    // The default admission gate never holds.
-    EXPECT_TRUE(pol->admitFrontend(0, true));
+    core::ControllerParams p = core::ControllerParams::traditional();
+    EXPECT_STREQ(core::policyKindName(p.policy), "traditional");
+    EXPECT_FALSE(p.merging());
+    EXPECT_FALSE(p.replacing());
+    // Only batched ever holds admission.
+    EXPECT_TRUE(p.admits(0, true));
+    // The replacing knob alone never turns replacing on.
+    p.enableDummyReplacing = true;
+    EXPECT_FALSE(p.replacing());
 
-    core::ControllerParams p = core::ControllerParams::forkPath();
-    pol = core::makeAccessPolicy(p);
-    EXPECT_EQ(pol->kind(), core::PolicyKind::forkpath);
-    EXPECT_TRUE(pol->merging());
-    EXPECT_TRUE(pol->replacing());
-    EXPECT_TRUE(pol->admitFrontend(0, true));
+    p = core::ControllerParams::forkPath();
+    EXPECT_STREQ(core::policyKindName(p.policy), "forkpath");
+    EXPECT_TRUE(p.merging());
+    EXPECT_TRUE(p.replacing());
+    EXPECT_TRUE(p.admits(0, true));
 
     // The ablation knob disables replacing without leaving forkpath.
     p.enableDummyReplacing = false;
-    pol = core::makeAccessPolicy(p);
-    EXPECT_EQ(pol->kind(), core::PolicyKind::forkpath);
-    EXPECT_FALSE(pol->replacing());
+    EXPECT_EQ(p.policy, core::PolicyKind::forkpath);
+    EXPECT_TRUE(p.merging());
+    EXPECT_FALSE(p.replacing());
 }
 
-TEST(PolicyObjects, BatchedHoldsUntilABatchWhileBusy)
+TEST(PolicyPredicates, BatchedHoldsUntilABatchWhileBusy)
 {
     core::ControllerParams p;
     core::applyPolicyPreset(p, core::PolicyKind::batched);
     p.batchSize = 4;
-    auto pol = core::makeAccessPolicy(p);
-    EXPECT_EQ(pol->kind(), core::PolicyKind::batched);
-    EXPECT_TRUE(pol->merging());
-    EXPECT_FALSE(pol->replacing());
+    EXPECT_STREQ(core::policyKindName(p.policy), "batched");
+    EXPECT_TRUE(p.merging());
+    EXPECT_FALSE(p.replacing());
+    p.enableDummyReplacing = true;
+    EXPECT_FALSE(p.replacing());
     // Idle pipeline: everything (including a partial batch) flushes.
-    EXPECT_TRUE(pol->admitFrontend(1, false));
-    EXPECT_TRUE(pol->admitFrontend(0, false));
+    EXPECT_TRUE(p.admits(1, false));
+    EXPECT_TRUE(p.admits(0, false));
     // Busy pipeline: hold below the batch, admit at or above it.
-    EXPECT_FALSE(pol->admitFrontend(0, true));
-    EXPECT_FALSE(pol->admitFrontend(3, true));
-    EXPECT_TRUE(pol->admitFrontend(4, true));
-    EXPECT_TRUE(pol->admitFrontend(5, true));
+    EXPECT_FALSE(p.admits(0, true));
+    EXPECT_FALSE(p.admits(3, true));
+    EXPECT_TRUE(p.admits(4, true));
+    EXPECT_TRUE(p.admits(5, true));
 }
 
 // ---------------------------------------------------------------------------
@@ -140,30 +141,14 @@ TEST(ControllerParamsValidate, RejectsDegenerateKnobs)
     }
     {
         core::ControllerParams p = core::ControllerParams::forkPath();
-        p.addressQueueSize = 0;
-        EXPECT_DEATH(p.validate(), "addressQueueSize");
-    }
-    {
-        core::ControllerParams p = core::ControllerParams::forkPath();
         p.recursionFanout = 0;
         EXPECT_DEATH(p.validate(), "recursionFanout");
-    }
-    {
-        core::ControllerParams p = core::ControllerParams::forkPath();
-        p.writeWindow = 0;
-        EXPECT_DEATH(p.validate(), "writeWindow");
     }
     {
         core::ControllerParams p;
         core::applyPolicyPreset(p, core::PolicyKind::batched);
         p.batchSize = 0;
         EXPECT_DEATH(p.validate(), "batchSize");
-    }
-    {
-        core::ControllerParams p = core::ControllerParams::forkPath();
-        p.cachePolicy = core::CachePolicy::mac;
-        p.macBucketsPerSet = 0;
-        EXPECT_DEATH(p.validate(), "macBucketsPerSet");
     }
 }
 
@@ -185,7 +170,7 @@ TEST(ControllerParamsValidate, RejectsZAboveInlineBucketBound)
 
 TEST(ControllerParamsValidate, AcceptsEveryRegisteredPreset)
 {
-    for (const auto &name : core::accessPolicyNames()) {
+    for (const auto &name : core::policyKindNames()) {
         core::ControllerParams p;
         core::applyPolicyPreset(p, core::parsePolicyKind(name));
         p.validate(); // must not abort
@@ -225,7 +210,7 @@ TEST(BatchedPolicy, HoldFiresAndNothingStarves)
 
     core::OramController *ctrl = sys.controller();
     ASSERT_NE(ctrl, nullptr);
-    EXPECT_EQ(ctrl->policy().kind(), core::PolicyKind::batched);
+    EXPECT_EQ(ctrl->params().policy, core::PolicyKind::batched);
     // The hold actually gated pumps (4 cores x 16 MSHRs pile up well
     // past batchSize=4 while an access is in flight) — and despite
     // that, every request above completed.
@@ -240,9 +225,45 @@ TEST(ForkpathPolicy, ControllerReportsTheDefaultPolicy)
     cfg = sim::withMergeOnly(std::move(cfg), 16);
     sim::System sys(cfg, workload::mixProfiles("Mix3"));
     ASSERT_NE(sys.controller(), nullptr);
-    EXPECT_EQ(sys.controller()->policy().kind(),
+    EXPECT_EQ(sys.controller()->params().policy,
               core::PolicyKind::forkpath);
     EXPECT_EQ(sys.controller()->admission().heldPumps(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Replacing end to end: the knob is on in both runs, but only the
+// forkpath controller replaces dummies or swaps pending accesses.
+
+TEST(PolicyReplacing, OnlyForkpathReplacesOnTheSameWorkload)
+{
+    auto run = [](core::PolicyKind kind) {
+        sim::SimConfig cfg = sim::SimConfig::paperDefault();
+        cfg.requestsPerCore = 80;
+        // A deep tree keeps each refill long enough for late arrivals
+        // to find the crossing bucket unissued (Cases 1 and 3).
+        cfg.controller.oram.leafLevel = 18;
+        cfg = sim::withPolicy(std::move(cfg), kind);
+        cfg.controller.enableDummyReplacing = true;
+        // A small batch admits during refills often enough that a
+        // batched controller would replace if the knob alone decided.
+        cfg.controller.batchSize = 2;
+        sim::System sys(cfg, workload::mixProfiles("Mix1"));
+        sim::RunResult r = sys.run();
+        EXPECT_FALSE(r.hitTickLimit);
+        EXPECT_EQ(r.llcRequests, 4u * 80u);
+        const core::OramController *ctrl = sys.controller();
+        EXPECT_NE(ctrl, nullptr);
+        return std::pair(ctrl ? ctrl->dummyReplacements() : 0,
+                         ctrl ? ctrl->pendingSwaps() : 0);
+    };
+    const auto [batched_replaced, batched_swapped] =
+        run(core::PolicyKind::batched);
+    EXPECT_EQ(batched_replaced, 0u);
+    EXPECT_EQ(batched_swapped, 0u);
+    const auto [fork_replaced, fork_swapped] =
+        run(core::PolicyKind::forkpath);
+    EXPECT_GT(fork_replaced, 0u);
+    EXPECT_GT(fork_swapped, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/access_policy.hh"
+#include "core/controller_params.hh"
 #include "sim/scenario.hh"
 #include "sim/spec_parse.hh"
 #include "util/cli.hh"
@@ -181,6 +181,15 @@ TEST(SpecParseDeath, MalformedSpecsDieWithLocation)
     EXPECT_DEATH(parseSpecText(R"({"name": "x", "base":
                      {"variant": "merge", "batch-size": 4}})"),
                  "batch");
+    // enable-replacing without the forkpath policy, the only one
+    // that replaces dummies.
+    EXPECT_DEATH(parseSpecText(R"({"name": "x", "base":
+                     {"policy": "batched", "enable-replacing": true}})"),
+                 "\"enable-replacing\" requires the forkpath policy");
+    EXPECT_DEATH(parseSpecText(R"({"name": "x", "points": [
+                     {"name": "p", "set": {"variant": "traditional",
+                                           "enable-replacing": false}}]})"),
+                 "\"enable-replacing\" requires the forkpath policy");
     // Unknown mix name.
     EXPECT_DEATH(parseSpecText(
                      R"({"name": "x", "mixes": ["Mix99"]})"),
@@ -449,6 +458,17 @@ TEST(Scenario, SpikeMagnitudeDefaultsTheRate)
         rate(R"("fault-spike-rate": 0.05, "fault-spike-us": 500)"), 0.05);
     EXPECT_DOUBLE_EQ(
         rate(R"("fault-spike-rate": 0, "fault-spike-us": 500)"), 0.0);
+}
+
+TEST(Scenario, EnableReplacingAppliesUnderForkpath)
+{
+    // specWithBase starts from "variant": "merge", the forkpath preset.
+    SimConfig cfg = SimConfig::paperDefault();
+    const auto spec = specWithBase(R"("enable-replacing": false)");
+    applySpecOverrides(cfg, spec.base, spec.source, spec.params);
+    EXPECT_EQ(cfg.controller.policy, core::PolicyKind::forkpath);
+    EXPECT_FALSE(cfg.controller.enableDummyReplacing);
+    EXPECT_FALSE(cfg.controller.replacing());
 }
 
 TEST(ScenarioDeath, RejectedKnobFlagsUseTheTableMessage)

@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/bitops.hh"
 #include "util/cli.hh"
@@ -802,6 +804,22 @@ TEST(Cli, ParsesForms)
     EXPECT_EQ(args.positional()[0], "pos1");
 }
 
+TEST(Cli, BooleansTakeEitherSpelling)
+{
+    for (const char *v : {"true", "1", "yes", "on"}) {
+        const std::string flag = std::string("--b=") + v;
+        const char *argv[] = {"prog", flag.c_str()};
+        CliArgs args(2, const_cast<char **>(argv));
+        EXPECT_TRUE(args.getBool("b", false)) << v;
+    }
+    for (const char *v : {"false", "0", "no", "off"}) {
+        const std::string flag = std::string("--b=") + v;
+        const char *argv[] = {"prog", flag.c_str()};
+        CliArgs args(2, const_cast<char **>(argv));
+        EXPECT_FALSE(args.getBool("b", true)) << v;
+    }
+}
+
 TEST(Cli, Doubles)
 {
     const char *argv[] = {"prog", "--x=2.5"};
@@ -846,6 +864,27 @@ TEST(CliDeath, MalformedNumbersAreFatalNamingTheFlag)
                 "--v expects a number");
     EXPECT_EXIT(parse("--v=1e999", false), testing::ExitedWithCode(1),
                 "--v expects a number");
+}
+
+TEST(CliDeath, MalformedBooleansAreFatalNamingTheFlag)
+{
+    auto parse = [](std::vector<const char *> argv, const char *name) {
+        argv.insert(argv.begin(), "prog");
+        CliArgs args(static_cast<int>(argv.size()),
+                     const_cast<char **>(argv.data()));
+        (void)args.getBool(name);
+    };
+    EXPECT_EXIT(parse({"--quick=yes", "--csv=Y"}, "csv"),
+                testing::ExitedWithCode(1),
+                "--csv expects a boolean \\(got 'Y';");
+    EXPECT_EXIT(parse({"--csv=TRUE"}, "csv"), testing::ExitedWithCode(1),
+                "--csv expects a boolean");
+    EXPECT_EXIT(parse({"--csv="}, "csv"), testing::ExitedWithCode(1),
+                "--csv expects a boolean \\(got '';");
+    // A bare flag swallows a following word, which is then its value.
+    EXPECT_EXIT(parse({"--quick", "fig10"}, "quick"),
+                testing::ExitedWithCode(1),
+                "--quick expects a boolean \\(got 'fig10';");
 }
 
 } // anonymous namespace
