@@ -145,12 +145,16 @@ registerAblationScenario()
             add("integrity on (hash-only cost)", on);
         }
 
-        // Every registered scheduling policy under its canonical
-        // preset, selected by name through the same registry path as
-        // --policy.
-        const auto policy_names = core::policyKindNames();
-        for (const auto &name : policy_names)
-            add("policy: " + name, sim::withPolicyName(base, name));
+        // The three registered scheduling policies: traditional, and
+        // the paper's controller (queue 64, 1 MiB MAC) under forkpath
+        // and under batched.
+        add("policy: traditional", sim::withTraditional(base));
+        {
+            auto paper = sim::withMergeMac(base, 1 << 20, 64);
+            add("policy: forkpath", paper);
+            paper.controller.policy = core::PolicyKind::batched;
+            add("policy: batched", paper);
+        }
 
         auto results = ctx.run(std::move(points));
         const auto &trad = results[0];
@@ -167,8 +171,7 @@ registerAblationScenario()
             {"DRAM page policy " + q_tag, 2},
             {"timing-channel protection " + q_tag, 2},
             {"Merkle integrity " + q_tag, 2},
-            {"scheduling policy registry (" + mix + ")",
-             policy_names.size()}};
+            {"scheduling policy registry (" + mix + ")", 3}};
         std::size_t next = 1;
         for (const auto &[title, rows] : tables) {
             TextTable table(title);

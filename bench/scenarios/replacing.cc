@@ -35,7 +35,7 @@ registerReplacingScenario()
                    "the crossing bucket replaces the committed dummy "
                    "(Case 3); later arrivals cannot (Cases 1-2)");
 
-        // The registry's forkpath preset (merging + replacing),
+        // The paper's Fork Path controller (merging + replacing),
         // shrunk to a probe-sized queue with no on-chip cache so
         // every replacement window is exercised against DRAM.
         core::ControllerParams params =

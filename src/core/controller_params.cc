@@ -48,15 +48,17 @@ ControllerParams
 ControllerParams::traditional()
 {
     ControllerParams p;
-    applyPolicyPreset(p, PolicyKind::traditional);
+    p.policy = PolicyKind::traditional;
+    p.enableDummyReplacing = false;
+    p.labelQueueSize = 1;
     return p;
 }
 
 ControllerParams
 ControllerParams::forkPath()
 {
-    ControllerParams p;
-    applyPolicyPreset(p, PolicyKind::forkpath);
+    ControllerParams p; // forkpath, replacing on, a 64-entry queue
+    p.cachePolicy = CachePolicy::mac;
     return p;
 }
 
@@ -95,29 +97,6 @@ policyKindNames()
     for (const PolicyInfo &info : kRegistry)
         names.emplace_back(info.name);
     return names;
-}
-
-void
-applyPolicyPreset(ControllerParams &params, PolicyKind kind)
-{
-    params.policy = kind;
-    switch (kind) {
-    case PolicyKind::traditional:
-        params.enableDummyReplacing = false;
-        params.labelQueueSize = 1;
-        params.cachePolicy = CachePolicy::none;
-        break;
-    case PolicyKind::forkpath:
-        params.enableDummyReplacing = true;
-        params.labelQueueSize = 64;
-        params.cachePolicy = CachePolicy::mac;
-        break;
-    case PolicyKind::batched:
-        params.enableDummyReplacing = false;
-        params.labelQueueSize = 64;
-        params.cachePolicy = CachePolicy::mac;
-        break;
-    }
 }
 
 } // namespace fp::core

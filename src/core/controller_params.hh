@@ -20,8 +20,8 @@
  *                only in batches of batchSize.
  *
  * The registry functions (parsePolicyKind / policyKindName /
- * policyKindNames / applyPolicyPreset) are the single path by which
- * the CLI (--policy=NAME) and the benches select a policy by name.
+ * policyKindNames) are the single path by which the CLI
+ * (--policy=NAME) and the benches select a policy by name.
  */
 
 #ifndef FP_CORE_CONTROLLER_PARAMS_HH
@@ -150,7 +150,8 @@ struct ControllerParams
     /** The paper's traditional (baseline) Path ORAM configuration. */
     static ControllerParams traditional();
 
-    /** The paper's default Fork Path configuration (queue 64). */
+    /** The paper's default Fork Path configuration (queue 64, a
+     *  1 MiB MAC). */
     static ControllerParams forkPath();
 };
 
@@ -163,16 +164,6 @@ const char *policyKindName(PolicyKind kind);
 
 /** Every registered policy name, in registry order. */
 std::vector<std::string> policyKindNames();
-
-/**
- * Apply @p kind's canonical scheduling-family preset to @p params:
- * sets policy, enableDummyReplacing, labelQueueSize and cachePolicy,
- * leaving the ORAM geometry and every structural/timing knob alone.
- * This is the one construction path behind
- * ControllerParams::traditional()/forkPath(), the sim::with*
- * variant helpers and the --policy CLI flag.
- */
-void applyPolicyPreset(ControllerParams &params, PolicyKind kind);
 
 } // namespace fp::core
 

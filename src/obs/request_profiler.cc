@@ -340,16 +340,8 @@ RequestProfiler::reportJson(const ProfileEffectiveness &eff) const
     w.key("stages").beginArray();
     for (const ProfileStageSummary &s : stageSummaries()) {
         const fp::Histogram &h = stageHistogram(s.stage);
-        w.beginObject()
-            .field("stage", s.stage)
-            .field("count", s.count)
-            .field("mean_ns", s.meanNs)
-            .field("max_ns", s.maxNs)
-            .field("p50_ns", s.p50Ns)
-            .field("p95_ns", s.p95Ns)
-            .field("p99_ns", s.p99Ns)
-            .field("p999_ns", s.p999Ns)
-            .field("bucket_width", h.bucketWidth())
+        s.writeFields(w.beginObject());
+        w.field("bucket_width", h.bucketWidth())
             .field("underflow", h.underflow())
             .field("overflow", h.overflow());
         w.key("buckets").beginArray();
@@ -358,25 +350,43 @@ RequestProfiler::reportJson(const ProfileEffectiveness &eff) const
         w.endArray().endObject();
     }
     w.endArray();
-    w.key("effectiveness").beginObject();
-    w.field("total_accesses", eff.totalAccesses)
-        .field("merged_accesses", eff.mergedAccesses)
-        .field("read_levels_skipped", eff.readLevelsSkipped)
-        .field("write_levels_elided", eff.writeLevelsElided)
-        .field("writebacks_replaced", eff.writebacksReplaced)
-        .field("pending_swaps", eff.pendingSwaps)
-        .field("onchip_bucket_reads", eff.onChipBucketReads)
-        .field("mac_data_hits", eff.macDataHits)
-        .field("cache_victim_writes", eff.cacheVictimWrites)
-        .field("stash_shortcuts", eff.stashShortcuts)
-        .field("naive_path_buckets", eff.naivePathBuckets)
-        .field("backend_buckets", eff.backendBuckets)
-        .field("bucket_bytes", eff.bucketBytes)
-        .field("buckets_saved", eff.bucketsSaved())
-        .field("bytes_saved", eff.bytesSaved());
+    eff.writeFields(w.key("effectiveness").beginObject());
     w.endObject();
     w.endObject();
     return w.str();
+}
+
+void
+ProfileStageSummary::writeFields(JsonWriter &w) const
+{
+    w.field("stage", stage)
+        .field("count", count)
+        .field("mean_ns", meanNs)
+        .field("max_ns", maxNs)
+        .field("p50_ns", p50Ns)
+        .field("p95_ns", p95Ns)
+        .field("p99_ns", p99Ns)
+        .field("p999_ns", p999Ns);
+}
+
+void
+ProfileEffectiveness::writeFields(JsonWriter &w) const
+{
+    w.field("total_accesses", totalAccesses)
+        .field("merged_accesses", mergedAccesses)
+        .field("read_levels_skipped", readLevelsSkipped)
+        .field("write_levels_elided", writeLevelsElided)
+        .field("writebacks_replaced", writebacksReplaced)
+        .field("pending_swaps", pendingSwaps)
+        .field("onchip_bucket_reads", onChipBucketReads)
+        .field("mac_data_hits", macDataHits)
+        .field("cache_victim_writes", cacheVictimWrites)
+        .field("stash_shortcuts", stashShortcuts)
+        .field("naive_path_buckets", naivePathBuckets)
+        .field("backend_buckets", backendBuckets)
+        .field("bucket_bytes", bucketBytes)
+        .field("buckets_saved", bucketsSaved())
+        .field("bytes_saved", bytesSaved());
 }
 
 } // namespace fp::obs

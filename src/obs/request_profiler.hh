@@ -61,6 +61,11 @@
 #include "util/stats.hh"
 #include "util/types.hh"
 
+namespace fp
+{
+class JsonWriter;
+} // namespace fp
+
 namespace fp::obs
 {
 
@@ -86,6 +91,9 @@ struct ProfileStageSummary
     double p95Ns = 0.0;
     double p99Ns = 0.0;
     double p999Ns = 0.0;
+
+    /** The eight fields above, into @p w's open object. */
+    void writeFields(JsonWriter &w) const;
 };
 
 /**
@@ -124,6 +132,10 @@ struct ProfileEffectiveness
     {
         return bucketsSaved() * bucketBytes;
     }
+
+    /** The thirteen counts and the two saved figures, into @p w's
+     *  open object. */
+    void writeFields(JsonWriter &w) const;
 };
 
 class RequestProfiler

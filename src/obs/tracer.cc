@@ -87,9 +87,19 @@ Tracer::begin(Track track, const char *name, const char *ph)
 }
 
 void
-Tracer::beginArgs()
+Tracer::appendArgs(std::initializer_list<TraceArg> args)
 {
+    if (args.size() == 0)
+        return;
     buf_ += ",\"args\":{";
+    bool first = true;
+    for (const TraceArg &a : args) {
+        if (!first)
+            buf_ += ',';
+        first = false;
+        appendArg(a);
+    }
+    buf_ += '}';
 }
 
 void
@@ -145,9 +155,7 @@ Tracer::nameTrack(Track track, const char *name)
     if (finished_ || level_ == TraceLevel::off)
         return;
     begin(track, "thread_name", "M");
-    beginArgs();
-    appendArg(TraceArg::str("name", name));
-    buf_ += '}';
+    appendArgs({TraceArg::str("name", name)});
     end();
 }
 
@@ -174,17 +182,7 @@ Tracer::complete(Track track, const char *name, Tick start, Tick end_tick,
     std::snprintf(tmp, sizeof(tmp), ",\"pid\":1,\"tid\":%u",
                   static_cast<unsigned>(track));
     buf_ += tmp;
-    if (args.size() > 0) {
-        beginArgs();
-        bool first = true;
-        for (const TraceArg &a : args) {
-            if (!first)
-                buf_ += ',';
-            first = false;
-            appendArg(a);
-        }
-        buf_ += '}';
-    }
+    appendArgs(args);
     end();
 }
 
@@ -200,17 +198,7 @@ Tracer::instant(Track track, const char *name,
         return;
     begin(track, name, "i");
     buf_ += ",\"s\":\"t\"";
-    if (args.size() > 0) {
-        beginArgs();
-        bool first = true;
-        for (const TraceArg &a : args) {
-            if (!first)
-                buf_ += ',';
-            first = false;
-            appendArg(a);
-        }
-        buf_ += '}';
-    }
+    appendArgs(args);
     end();
 }
 
@@ -232,17 +220,7 @@ Tracer::async(Track track, const char *name, const char *ph,
     char tmp[48];
     std::snprintf(tmp, sizeof(tmp), ",\"id\":%" PRIu64, id);
     buf_ += tmp;
-    if (args.size() > 0) {
-        beginArgs();
-        bool first = true;
-        for (const TraceArg &a : args) {
-            if (!first)
-                buf_ += ',';
-            first = false;
-            appendArg(a);
-        }
-        buf_ += '}';
-    }
+    appendArgs(args);
     end();
 }
 
@@ -257,9 +235,7 @@ Tracer::counter(Track track, const char *name, const char *series,
     if (finished_ || level_ == TraceLevel::off)
         return;
     begin(track, name, "C");
-    beginArgs();
-    appendArg(TraceArg::real(series, value));
-    buf_ += '}';
+    appendArgs({TraceArg::real(series, value)});
     end();
 }
 

@@ -205,7 +205,8 @@ class Tracer
     bool isView() const { return out_ != this; }
 
     void begin(Track track, const char *name, const char *ph);
-    void beginArgs();
+    /** `,"args":{...}` for a non-empty @p args; nothing otherwise. */
+    void appendArgs(std::initializer_list<TraceArg> args);
     void appendArg(const TraceArg &a);
     void end();
     void append(const char *s);

@@ -125,37 +125,13 @@ toJson(const RunResult &r)
         w.field("completed_requests", r.profiledRequests);
         w.key("stages").beginArray();
         for (const obs::ProfileStageSummary &s : r.profileStages) {
-            w.beginObject()
-                .field("stage", s.stage)
-                .field("count", s.count)
-                .field("mean_ns", s.meanNs)
-                .field("max_ns", s.maxNs)
-                .field("p50_ns", s.p50Ns)
-                .field("p95_ns", s.p95Ns)
-                .field("p99_ns", s.p99Ns)
-                .field("p999_ns", s.p999Ns)
-                .endObject();
+            s.writeFields(w.beginObject());
+            w.endObject();
         }
         w.endArray();
-        const obs::ProfileEffectiveness &e = r.profileEffectiveness;
-        w.key("effectiveness")
-            .beginObject()
-            .field("total_accesses", e.totalAccesses)
-            .field("merged_accesses", e.mergedAccesses)
-            .field("read_levels_skipped", e.readLevelsSkipped)
-            .field("write_levels_elided", e.writeLevelsElided)
-            .field("writebacks_replaced", e.writebacksReplaced)
-            .field("pending_swaps", e.pendingSwaps)
-            .field("onchip_bucket_reads", e.onChipBucketReads)
-            .field("mac_data_hits", e.macDataHits)
-            .field("cache_victim_writes", e.cacheVictimWrites)
-            .field("stash_shortcuts", e.stashShortcuts)
-            .field("naive_path_buckets", e.naivePathBuckets)
-            .field("backend_buckets", e.backendBuckets)
-            .field("bucket_bytes", e.bucketBytes)
-            .field("buckets_saved", e.bucketsSaved())
-            .field("bytes_saved", e.bytesSaved())
-            .endObject();
+        r.profileEffectiveness.writeFields(
+            w.key("effectiveness").beginObject());
+        w.endObject();
         w.endObject();
     }
     if (r.shards > 1) {

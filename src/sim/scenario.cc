@@ -6,6 +6,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <utility>
 
@@ -160,6 +161,8 @@ ExperimentSpec::paramStrList(const std::string &key) const
 
 namespace
 {
+
+const SpecSource commandLine{"command line", "", 0};
 
 /** Command-line text that parses whole as a number, else nullopt. */
 std::optional<double>
@@ -330,9 +333,6 @@ overrideTable()
         // --- controller variant / scheduling -----------------------------
         {"variant",
          [](const OvCtx &c) {
-             // The sim::with* helpers rebuild the controller, so the
-             // variant key must precede queue/cache refinements; the
-             // overrides apply in spec order, making that natural.
              const std::string v = c.str();
              if (v == "traditional")
                  c.cfg = withTraditional(std::move(c.cfg));
@@ -359,7 +359,7 @@ overrideTable()
              if (std::find(names.begin(), names.end(), v) ==
                  names.end())
                  c.fail("unknown policy '" + v + "'");
-             c.cfg = withPolicyName(std::move(c.cfg), v);
+             c.cfg.controller.policy = core::parsePolicyKind(v);
          }},
         {"queue",
          [](const OvCtx &c) {
@@ -473,10 +473,8 @@ overrideTable()
         // --- memory system -----------------------------------------------
         {"channels",
          [](const OvCtx &c) {
-             // Replaces the whole DRAM parameter block, so list it
-             // before page-policy when both appear.
-             c.cfg.dram = dram::DramParams::ddr3_1600(
-                 static_cast<unsigned>(c.uintIn(1, 8)));
+             c.cfg.dram.org.channels =
+                 static_cast<unsigned>(c.uintIn(1, 8));
          }},
         {"page-policy",
          [](const OvCtx &c) {
@@ -583,8 +581,6 @@ keyPresent(const std::vector<SpecOverride> &ovs, const char *key)
     return false;
 }
 
-} // namespace
-
 void
 applySpecOverride(SimConfig &cfg, const SpecOverride &ov,
                   const SpecSource &src)
@@ -604,19 +600,46 @@ applySpecOverride(SimConfig &cfg, const SpecOverride &ov,
     it->second(OvCtx{cfg, ov, src});
 }
 
+} // namespace
+
 void
 applySpecOverrides(SimConfig &cfg,
                    const std::vector<SpecOverride> &ovs,
-                   const SpecSource &src, const JsonValue &where)
+                   const SpecSource &src, const JsonValue &where,
+                   const std::vector<SpecOverride> &flags)
 {
+    // "variant" sets these fields anew: a value given before it in the
+    // same set would be lost without a word.
+    static const std::set<std::string> variant_fields = {
+        "policy", "enable-replacing", "queue",
+        "cache",  "cache-bytes",      "insecure"};
+    bool variant_follows = false;
+    for (auto ov = ovs.rbegin(); ov != ovs.rend(); ++ov) {
+        if (ov->key == "variant")
+            variant_follows = true;
+        else if (variant_follows && variant_fields.count(ov->key))
+            specFail(src, ov->value,
+                     "\"" + ov->key +
+                         "\" comes before \"variant\", which sets it "
+                         "anew (put \"variant\" first)");
+    }
+
     for (const SpecOverride &ov : ovs)
         applySpecOverride(cfg, ov, src);
+    // The command-line flags join the set last. The insecure baseline
+    // has no scheduler for them to set.
+    const std::vector<SpecOverride> none;
+    const auto &joined = cfg.insecure ? none : flags;
+    for (const SpecOverride &ov : joined)
+        applySpecOverride(cfg, ov, commandLine);
+    auto present = [&](const char *key) {
+        return keyPresent(ovs, key) || keyPresent(joined, key);
+    };
 
     // A spike magnitude without a rate means "spike some requests":
     // default the rate on rather than silently doing nothing. A rate
     // in the same set wins, whichever order the two keys come in.
-    if (keyPresent(ovs, "fault-spike-us") &&
-        !keyPresent(ovs, "fault-spike-rate") &&
+    if (present("fault-spike-us") && !present("fault-spike-rate") &&
         cfg.faults.spikeRate == 0.0)
         cfg.faults.spikeRate = 0.01;
 
@@ -629,7 +652,7 @@ applySpecOverrides(SimConfig &cfg,
     };
     if (cfg.insecure) {
         for (const char *key : scheduler_keys) {
-            if (keyPresent(ovs, key))
+            if (present(key))
                 specFail(src, where,
                          std::string("\"") + key +
                              "\" conflicts with the insecure "
@@ -641,19 +664,27 @@ applySpecOverrides(SimConfig &cfg,
                      "baseline (sharding dispatches over ORAM "
                      "controllers)");
     }
-    if (keyPresent(ovs, "batch-size") &&
+    // Name the flag when it chose the policy a conflict is about.
+    const std::string policy_flag =
+        keyPresent(joined, "policy")
+            ? std::string(", not --policy=") +
+                  core::policyKindName(cfg.controller.policy)
+            : "";
+    if (present("batch-size") &&
         cfg.controller.policy != core::PolicyKind::batched) {
         specFail(src, where,
-                 "\"batch-size\" requires the batched policy (add "
-                 "\"policy\": \"batched\")");
+                 "\"batch-size\" requires the batched policy" +
+                     (policy_flag.empty()
+                          ? std::string(" (add \"policy\": \"batched\")")
+                          : policy_flag));
     }
-    if (keyPresent(ovs, "enable-replacing") &&
+    if (present("enable-replacing") &&
         cfg.controller.policy != core::PolicyKind::forkpath) {
         specFail(src, where,
-                 "\"enable-replacing\" requires the forkpath policy "
-                 "(only forkpath replaces dummies)");
+                 "\"enable-replacing\" requires the forkpath policy" +
+                     policy_flag + " (only forkpath replaces dummies)");
     }
-    if (keyPresent(ovs, "cache-bytes") &&
+    if (present("cache-bytes") &&
         cfg.controller.cachePolicy == core::CachePolicy::none) {
         specFail(src, where,
                  "\"cache-bytes\" has no effect without a cache "
@@ -666,7 +697,8 @@ applySpecOverrides(SimConfig &cfg,
 
 std::vector<SweepPoint>
 expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
-                 const std::vector<std::string> &mixes)
+                 const std::vector<std::string> &mixes,
+                 const std::vector<SpecOverride> &flags)
 {
     // Explicit points; a spec with none gets a single anonymous point
     // so a pure-grid (or pure-mix) spec still expands.
@@ -711,10 +743,11 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
     out.reserve(points.size() * combos.size() * mixes.size());
     for (const SpecPoint &point : points) {
         for (const auto &combo : combos) {
+            std::vector<SpecOverride> set = point.overrides;
+            set.insert(set.end(), combo.begin(), combo.end());
             SimConfig cfg = base;
-            applySpecOverrides(cfg, point.overrides, spec.source,
-                               spec.params);
-            applySpecOverrides(cfg, combo, spec.source, spec.params);
+            applySpecOverrides(cfg, set, spec.source, spec.params,
+                               flags);
 
             std::string name = point.name;
             if (!combo.empty())
@@ -738,8 +771,6 @@ expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
 
 namespace
 {
-
-const SpecSource commandLine{"command line", "", 0};
 
 // The configuration knobs the command line accepts, in the order they
 // apply. Each is a key of the override table, so a flag gets the same
@@ -779,6 +810,12 @@ ScenarioContext::ScenarioContext(const ExperimentSpec &spec_,
             schedulerFlags.push_back(ov);
     }
     if (args.getBool("quick")) {
+        for (const char *flag : {"requests", "leaf-level"}) {
+            if (args.has(flag))
+                fp_fatal("--quick conflicts with --%s (--quick sets "
+                         "--requests=150 and --leaf-level=14)",
+                         flag);
+        }
         base.requestsPerCore = 150;
         base.controller.oram.leafLevel = 14;
     }
@@ -804,8 +841,8 @@ SimConfig
 ScenarioContext::pointConfig(const SpecPoint &point) const
 {
     SimConfig cfg = base;
-    applySpecOverrides(cfg, point.overrides, spec.source,
-                       spec.params);
+    applySpecOverrides(cfg, point.overrides, spec.source, spec.params,
+                       schedulerFlags);
     return cfg;
 }
 
@@ -850,14 +887,14 @@ ScenarioContext::run(std::vector<SweepPoint> points) const
 std::vector<SweepOutcome>
 ScenarioContext::runRaw(std::vector<SweepPoint> points) const
 {
-    // --policy/--batch-size override every point's per-series choice
-    // (series transforms rebuild the controller config after the base
-    // was built, so the flags must be re-applied per point).
+    // --policy/--batch-size reach every point after its series
+    // transform (a sim::with* helper sets the policy anew). A spec
+    // point took them into its own override set already. The insecure
+    // baseline has no scheduler.
     for (SweepPoint &p : points) {
-        if (p.cfg.insecure)
-            continue; // the insecure baseline has no scheduler
-        for (const SpecOverride &ov : schedulerFlags)
-            applySpecOverride(p.cfg, ov, commandLine);
+        if (!p.cfg.insecure)
+            applySpecOverrides(p.cfg, schedulerFlags, commandLine,
+                               spec.params);
     }
     SweepRunner runner(sweepOpt);
     auto outcomes = runner.run(std::move(points));
@@ -928,7 +965,8 @@ sweepScenario(ScenarioContext &ctx)
     ctx.banner("Experiment: " + ctx.spec.name,
                ctx.spec.description.empty() ? "(generic sweep)"
                                             : ctx.spec.description);
-    auto points = expandSpecPoints(ctx.spec, ctx.base, ctx.mixes);
+    auto points = expandSpecPoints(ctx.spec, ctx.base, ctx.mixes,
+                                   ctx.schedulerFlags);
     std::vector<std::string> names;
     names.reserve(points.size());
     for (const SweepPoint &p : points)

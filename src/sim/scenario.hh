@@ -151,43 +151,47 @@ struct ExperimentSpec
 };
 
 /**
- * Apply one spec override to @p cfg. The key table is the one parser
- * of configuration knobs: spec keys and the knob flags of the command
- * line (values from a source with no spec text arrive as text) share
- * its handlers and ranges. Unknown keys, type mismatches and
- * out-of-range values are fatal with the spec file/line. See
- * docs/ARCHITECTURE.md for the full key reference.
- */
-void applySpecOverride(SimConfig &cfg, const SpecOverride &ov,
-                       const SpecSource &src);
-
-/**
- * Apply a whole override set in order, default the spike rate to 0.01
- * when the set gives "fault-spike-us" but no "fault-spike-rate", then
- * validate cross-key conflicts (insecure + scheduler knobs, shards on
- * the insecure baseline, batch-size without the batched policy,
- * cache-bytes without a cache). @p where anchors conflict messages to
- * the override object's spec line.
+ * Apply an override set to @p cfg in order, then @p flags, command-line
+ * values that join the set last unless it makes the insecure
+ * baseline. Each key goes through the override table, the one parser
+ * of configuration knobs, so spec keys and knob flags (which arrive as
+ * text) share its handlers and ranges; see docs/ARCHITECTURE.md for
+ * the key reference. Fatal with the spec file/line: unknown keys, type
+ * mismatches, out-of-range values, a key that "variant" sets anew
+ * placed before it, and cross-key conflicts over the whole set
+ * (insecure + scheduler knobs, shards on the insecure baseline,
+ * batch-size without the batched policy, enable-replacing without the
+ * forkpath policy, cache-bytes without a cache). "fault-spike-us"
+ * without "fault-spike-rate" defaults the rate to 0.01. @p where
+ * anchors conflict messages to the override object's spec line.
  */
 void applySpecOverrides(SimConfig &cfg,
                         const std::vector<SpecOverride> &ovs,
-                        const SpecSource &src, const JsonValue &where);
+                        const SpecSource &src, const JsonValue &where,
+                        const std::vector<SpecOverride> &flags = {});
 
 /**
  * Expand the spec's explicit points and grid cross-product against
- * @p base, one SweepPoint per (config, mix) pair. Grid axes nest
- * rightmost-fastest; point names are "<mix>/<name>" when more than
- * one mix is in play, matching the legacy bench naming.
+ * @p base, one SweepPoint per (config, mix) pair; a point pinned to a
+ * mix runs on that mix alone. A point's keys, then a grid
+ * combination's, then @p flags apply as one override set
+ * (applySpecOverrides). With no @p mixes only pinned points come
+ * back, but every set is still applied and checked, which is how
+ * parsing validates a spec. Grid axes nest rightmost-fastest; point
+ * names are "<mix>/<name>" when more than one mix is in play,
+ * matching the legacy bench naming.
  */
 std::vector<SweepPoint>
 expandSpecPoints(const ExperimentSpec &spec, const SimConfig &base,
-                 const std::vector<std::string> &mixes);
+                 const std::vector<std::string> &mixes,
+                 const std::vector<SpecOverride> &flags = {});
 
 /**
  * Everything a scenario needs at run time: the spec, the command
  * line, the resolved base config and mix list, and sweep helpers
- * that reproduce the legacy fig_common semantics (policy forcing,
- * fatal failed points, csv-aware emission) plus provenance stamping.
+ * that reproduce the legacy fig_common semantics (the --policy flag
+ * on every point, fatal failed points, csv-aware emission) plus
+ * provenance stamping.
  */
 class ScenarioContext
 {
@@ -204,7 +208,8 @@ class ScenarioContext
     bool csv = false;
     SweepOptions sweepOpt;
 
-    /** --policy / --batch-size as given, re-applied to every
+    /** --policy / --batch-size as given. They join each spec
+     *  point's override set, and run() applies them again to every
      *  non-insecure point after its series transform. */
     std::vector<SpecOverride> schedulerFlags;
 
@@ -214,7 +219,8 @@ class ScenarioContext
     }
     std::uint64_t requests() const { return base.requestsPerCore; }
 
-    /** base + a spec point's overrides (conflict-checked at parse). */
+    /** base + a spec point's overrides with schedulerFlags joined,
+     *  as one conflict-checked set. */
     SimConfig pointConfig(const SpecPoint &point) const;
 
     /**
@@ -228,8 +234,8 @@ class ScenarioContext
 
     /**
      * Run every point through a SweepRunner configured by --jobs,
-     * forcing the policy override (insecure points excepted), fatal
-     * on any failed point, stamping provenance; results come back in
+     * applying schedulerFlags (insecure points excepted), fatal on
+     * any failed point, stamping provenance; results come back in
      * point order.
      */
     std::vector<RunResult> run(std::vector<SweepPoint> points) const;

@@ -96,25 +96,12 @@ backendKindNames()
 }
 
 SimConfig
-withPolicy(SimConfig cfg, core::PolicyKind kind)
-{
-    core::applyPolicyPreset(cfg.controller, kind);
-    cfg.insecure = false;
-    return cfg;
-}
-
-SimConfig
-withPolicyName(SimConfig cfg, const std::string &name)
-{
-    return withPolicy(std::move(cfg), core::parsePolicyKind(name));
-}
-
-SimConfig
 withTraditional(SimConfig cfg)
 {
-    auto oram = cfg.controller.oram;
-    cfg.controller = core::ControllerParams::traditional();
-    cfg.controller.oram = oram;
+    cfg.controller.policy = core::PolicyKind::traditional;
+    cfg.controller.enableDummyReplacing = false;
+    cfg.controller.labelQueueSize = 1;
+    cfg.controller.cachePolicy = core::CachePolicy::none;
     cfg.insecure = false;
     return cfg;
 }
@@ -122,9 +109,8 @@ withTraditional(SimConfig cfg)
 SimConfig
 withMergeOnly(SimConfig cfg, unsigned queue_size)
 {
-    auto oram = cfg.controller.oram;
-    cfg.controller = core::ControllerParams::forkPath();
-    cfg.controller.oram = oram;
+    cfg.controller.policy = core::PolicyKind::forkpath;
+    cfg.controller.enableDummyReplacing = true;
     cfg.controller.labelQueueSize = queue_size;
     cfg.controller.cachePolicy = core::CachePolicy::none;
     cfg.insecure = false;

@@ -172,13 +172,12 @@ struct SimConfig
  */
 void applyObsFlags(SimConfig &cfg, const CliArgs &args);
 
-/** Select a scheduling policy by kind (core registry preset). */
-SimConfig withPolicy(SimConfig cfg, core::PolicyKind kind);
-
-/** Select a scheduling policy by registry name (fatal if unknown). */
-SimConfig withPolicyName(SimConfig cfg, const std::string &name);
-
-/** Controller variants used across the figures. */
+/**
+ * Controller variants used across the figures. Each sets the policy,
+ * enableDummyReplacing, labelQueueSize, cachePolicy (with
+ * cacheBudgetBytes for a cache) and clears insecure; withInsecure
+ * sets insecure alone. Every other field of @p cfg is kept.
+ */
 SimConfig withTraditional(SimConfig cfg);
 SimConfig withMergeOnly(SimConfig cfg, unsigned queue_size = 64);
 SimConfig withMergeMac(SimConfig cfg, std::uint64_t cache_bytes,

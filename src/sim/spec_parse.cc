@@ -139,41 +139,16 @@ validateMixes(const SpecSource &src, const JsonValue &node,
 
 /**
  * Front-loaded validation: apply every override set the spec can ever
- * produce — base, each point, each grid combination, and their
- * compositions — to scratch configs, so range errors and conflicts
- * are fatal here (with spec file/line) and never mid-sweep.
+ * produce — base, then each point with each grid combination — to
+ * scratch configs, so range errors and conflicts are fatal here (with
+ * spec file/line) and never mid-sweep.
  */
 void
 validateOverrides(const ExperimentSpec &spec)
 {
     SimConfig base = SimConfig::paperDefault();
     applySpecOverrides(base, spec.base, spec.source, spec.params);
-
-    std::vector<std::vector<SpecOverride>> combos{{}};
-    for (const GridAxis &axis : spec.grid) {
-        std::vector<std::vector<SpecOverride>> next;
-        next.reserve(combos.size() * axis.values.size());
-        for (const auto &combo : combos) {
-            for (const JsonValue &v : axis.values) {
-                auto extended = combo;
-                extended.push_back(SpecOverride{axis.key, v});
-                next.push_back(std::move(extended));
-            }
-        }
-        combos = std::move(next);
-    }
-
-    std::vector<SpecPoint> points = spec.points;
-    if (points.empty())
-        points.push_back(SpecPoint{"base", "", {}});
-    for (const SpecPoint &point : points) {
-        for (const auto &combo : combos) {
-            SimConfig cfg = base;
-            applySpecOverrides(cfg, point.overrides, spec.source,
-                               spec.params);
-            applySpecOverrides(cfg, combo, spec.source, spec.params);
-        }
-    }
+    expandSpecPoints(spec, base, {});
 }
 
 } // namespace

@@ -27,11 +27,11 @@
  * The stdout of every committed spec under its smoke.args is pinned
  * in experiments/golden/<name>.txt (tools/run_experiments.py).
  *
- * Validation is strict and front-loaded (the satellite requirement):
- * unknown keys at any level, type mismatches, out-of-range values and
- * conflicting overrides (in `base`, every `points[].set`, and every
- * grid combination) are fatal at parse time with the spec file and
- * line in the message — never mid-sweep.
+ * Validation is strict and front-loaded: unknown keys at any level,
+ * type mismatches, out-of-range values and conflicting overrides (in
+ * `base`, and in every `points[].set` joined with each grid
+ * combination) are fatal at parse time with the spec file and line
+ * in the message — never mid-sweep.
  */
 
 #ifndef FP_SIM_SPEC_PARSE_HH

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests of the scheduling policy as ControllerParams owns it: registry
- * name parsing, the canonical presets behind the legacy factories,
- * ControllerParams validation at construction, the merging /
- * replacing / admission predicates, end-to-end batched runs (including
- * determinism and the batching hold actually firing), replacing only
- * under forkpath, and the --policy/--batch-size flag plumbing through
- * sim::ScenarioContext.
+ * name parsing, the legacy factories, the sim::with* variants setting
+ * only the scheduling fields, ControllerParams validation at
+ * construction, the merging / replacing / admission predicates,
+ * end-to-end batched runs (including determinism and the batching
+ * hold actually firing), replacing only under forkpath, and the
+ * --policy/--batch-size flag plumbing through sim::ScenarioContext.
  */
+
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -49,36 +51,76 @@ TEST(PolicyRegistry, UnknownNameIsFatalWithTheValidList)
     EXPECT_DEATH(core::parsePolicyKind("zigzag"), "traditional");
 }
 
-TEST(PolicyRegistry, PresetsBackTheLegacyFactories)
+TEST(PolicyRegistry, LegacyFactoriesKeepTheirValues)
 {
-    core::ControllerParams trad;
-    core::applyPolicyPreset(trad, core::PolicyKind::traditional);
-    const auto trad_factory = core::ControllerParams::traditional();
+    const auto trad = core::ControllerParams::traditional();
     EXPECT_EQ(trad.policy, core::PolicyKind::traditional);
     EXPECT_FALSE(trad.merging());
-    EXPECT_EQ(trad.enableDummyReplacing,
-              trad_factory.enableDummyReplacing);
-    EXPECT_EQ(trad.labelQueueSize, trad_factory.labelQueueSize);
-    EXPECT_EQ(trad.cachePolicy, trad_factory.cachePolicy);
+    EXPECT_FALSE(trad.enableDummyReplacing);
+    EXPECT_EQ(trad.labelQueueSize, 1u);
+    EXPECT_EQ(trad.cachePolicy, core::CachePolicy::none);
 
-    core::ControllerParams fork;
-    core::applyPolicyPreset(fork, core::PolicyKind::forkpath);
-    const auto fork_factory = core::ControllerParams::forkPath();
+    const auto fork = core::ControllerParams::forkPath();
     EXPECT_EQ(fork.policy, core::PolicyKind::forkpath);
     EXPECT_TRUE(fork.merging());
-    EXPECT_EQ(fork.enableDummyReplacing,
-              fork_factory.enableDummyReplacing);
-    EXPECT_EQ(fork.labelQueueSize, fork_factory.labelQueueSize);
-    EXPECT_EQ(fork.cachePolicy, fork_factory.cachePolicy);
+    EXPECT_TRUE(fork.replacing());
+    EXPECT_EQ(fork.labelQueueSize, 64u);
+    EXPECT_EQ(fork.cachePolicy, core::CachePolicy::mac);
+    EXPECT_EQ(fork.cacheBudgetBytes, std::uint64_t{1} << 20);
+}
 
-    // Presets leave the ORAM geometry and the other knobs alone.
-    core::ControllerParams geo;
-    geo.oram.leafLevel = 11;
-    geo.agingThreshold = 9;
-    core::applyPolicyPreset(geo, core::PolicyKind::batched);
-    EXPECT_EQ(geo.policy, core::PolicyKind::batched);
-    EXPECT_EQ(geo.oram.leafLevel, 11u);
-    EXPECT_EQ(geo.agingThreshold, 9u);
+/** The ControllerParams fields no controller variant may touch. */
+std::string
+structuralFields(const core::ControllerParams &p)
+{
+    std::ostringstream os;
+    os << p.oram.leafLevel << ' ' << p.recursionDepth << ' '
+       << p.plbEntries << ' ' << p.enableIntegrity << ' '
+       << p.periodicIntervalTicks << ' '
+       << static_cast<int>(p.layout) << ' ' << p.batchSize << ' '
+       << p.agingThreshold;
+    return os.str();
+}
+
+TEST(PolicyVariants, SetOnlyTheSchedulingFields)
+{
+    sim::SimConfig cfg = sim::SimConfig::paperDefault();
+    cfg.controller.oram.leafLevel = 11;
+    cfg.controller.recursionDepth = 2;
+    cfg.controller.plbEntries = 4096;
+    cfg.controller.enableIntegrity = true;
+    cfg.controller.periodicIntervalTicks = 1'300'000;
+    cfg.controller.layout = dram::LayoutPolicy::linear;
+    cfg.controller.batchSize = 3;
+    cfg.controller.agingThreshold = 9;
+    const std::string want = structuralFields(cfg.controller);
+
+    const sim::SimConfig variants[] = {
+        sim::withTraditional(cfg),
+        sim::withMergeOnly(cfg, 16),
+        sim::withMergeMac(cfg, 128 << 10, 32),
+        sim::withMergeTreetop(cfg, 256 << 10, 8),
+    };
+    for (const sim::SimConfig &v : variants)
+        EXPECT_EQ(structuralFields(v.controller), want);
+    EXPECT_EQ(variants[2].controller.labelQueueSize, 32u);
+    EXPECT_EQ(variants[2].controller.cacheBudgetBytes, 128u << 10);
+
+    // The "variant" key goes through the same helpers, so it keeps
+    // them too, even from a key that comes before it in the set.
+    const sim::ExperimentSpec spec = sim::parseSpecText(R"({
+      "name": "keep",
+      "base": {"recursion-depth": 2, "plb-entries": 4096,
+               "integrity": true, "periodic-interval-ticks": 1300000,
+               "layout": "linear", "aging-threshold": 9,
+               "leaf-level": 11, "variant": "mac"}
+    })");
+    sim::SimConfig from_spec = sim::SimConfig::paperDefault();
+    from_spec.controller.batchSize = 3;
+    sim::applySpecOverrides(from_spec, spec.base, spec.source,
+                            spec.params);
+    EXPECT_EQ(structuralFields(from_spec.controller), want);
+    EXPECT_EQ(from_spec.controller.cachePolicy, core::CachePolicy::mac);
 }
 
 // ---------------------------------------------------------------------------
@@ -112,7 +154,8 @@ TEST(PolicyPredicates, FlagsFollowTheParams)
 TEST(PolicyPredicates, BatchedHoldsUntilABatchWhileBusy)
 {
     core::ControllerParams p;
-    core::applyPolicyPreset(p, core::PolicyKind::batched);
+    p.policy = core::PolicyKind::batched;
+    p.enableDummyReplacing = false;
     p.batchSize = 4;
     EXPECT_STREQ(core::policyKindName(p.policy), "batched");
     EXPECT_TRUE(p.merging());
@@ -146,7 +189,7 @@ TEST(ControllerParamsValidate, RejectsDegenerateKnobs)
     }
     {
         core::ControllerParams p;
-        core::applyPolicyPreset(p, core::PolicyKind::batched);
+        p.policy = core::PolicyKind::batched;
         p.batchSize = 0;
         EXPECT_DEATH(p.validate(), "batchSize");
     }
@@ -168,11 +211,11 @@ TEST(ControllerParamsValidate, RejectsZAboveInlineBucketBound)
                 testing::ExitedWithCode(1), "TreeStore: Z=9");
 }
 
-TEST(ControllerParamsValidate, AcceptsEveryRegisteredPreset)
+TEST(ControllerParamsValidate, AcceptsEveryRegisteredPolicy)
 {
     for (const auto &name : core::policyKindNames()) {
         core::ControllerParams p;
-        core::applyPolicyPreset(p, core::parsePolicyKind(name));
+        p.policy = core::parsePolicyKind(name);
         p.validate(); // must not abort
     }
 }
@@ -186,7 +229,8 @@ batchedConfig()
     sim::SimConfig cfg = sim::SimConfig::paperDefault();
     cfg.requestsPerCore = 80;
     cfg.controller.oram.leafLevel = 10;
-    cfg = sim::withPolicy(std::move(cfg), core::PolicyKind::batched);
+    cfg = sim::withMergeMac(std::move(cfg), std::uint64_t{1} << 20);
+    cfg.controller.policy = core::PolicyKind::batched;
     cfg.controller.batchSize = 4;
     return cfg;
 }
@@ -242,7 +286,8 @@ TEST(PolicyReplacing, OnlyForkpathReplacesOnTheSameWorkload)
         // A deep tree keeps each refill long enough for late arrivals
         // to find the crossing bucket unissued (Cases 1 and 3).
         cfg.controller.oram.leafLevel = 18;
-        cfg = sim::withPolicy(std::move(cfg), kind);
+        cfg = sim::withMergeMac(std::move(cfg), std::uint64_t{1} << 20);
+        cfg.controller.policy = kind;
         cfg.controller.enableDummyReplacing = true;
         // A small batch admits during refills often enough that a
         // batched controller would replace if the knob alone decided.
@@ -279,6 +324,10 @@ TEST(PolicyFlags, CliSelectsPolicyAndBatchSize)
     sim::ScenarioContext ctx(spec, args);
     EXPECT_EQ(ctx.base.controller.policy, core::PolicyKind::batched);
     EXPECT_EQ(ctx.base.controller.batchSize, 5u);
+    // The flag sets the policy alone: the base keeps its queue and
+    // cache.
+    EXPECT_EQ(ctx.base.controller.labelQueueSize, 1u);
+    EXPECT_EQ(ctx.base.controller.cachePolicy, core::CachePolicy::none);
 }
 
 TEST(PolicyFlags, AbsentFlagsLeaveTheConfigUntouched)
@@ -294,20 +343,20 @@ TEST(PolicyFlags, AbsentFlagsLeaveTheConfigUntouched)
               before.controller.batchSize);
 }
 
-TEST(PolicyFlags, WithPolicyNameMatchesTheFactories)
+TEST(PolicyFlags, PolicyKeySetsThePolicyAlone)
 {
-    sim::SimConfig base = sim::SimConfig::paperDefault();
-    sim::SimConfig byname =
-        sim::withPolicyName(base, "traditional");
-    EXPECT_EQ(byname.controller.policy,
-              core::PolicyKind::traditional);
-    EXPECT_EQ(byname.controller.labelQueueSize,
-              core::ControllerParams::traditional().labelQueueSize);
-
-    byname = sim::withPolicyName(base, "forkpath");
-    EXPECT_EQ(byname.controller.policy, core::PolicyKind::forkpath);
-    EXPECT_EQ(byname.controller.cachePolicy,
-              core::ControllerParams::forkPath().cachePolicy);
+    for (const auto &name : core::policyKindNames()) {
+        const sim::ExperimentSpec spec = sim::parseSpecText(
+            R"({"name": "key", "base": {"policy": ")" + name + "\"}}");
+        sim::SimConfig cfg = sim::SimConfig::paperDefault();
+        sim::applySpecOverrides(cfg, spec.base, spec.source,
+                                spec.params);
+        EXPECT_EQ(core::policyKindName(cfg.controller.policy), name);
+        EXPECT_EQ(cfg.controller.labelQueueSize, 1u) << name;
+        EXPECT_EQ(cfg.controller.cachePolicy, core::CachePolicy::none)
+            << name;
+        EXPECT_FALSE(cfg.controller.enableDummyReplacing) << name;
+    }
 }
 
 } // anonymous namespace

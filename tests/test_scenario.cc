@@ -4,12 +4,16 @@
  * spec-hash stability, parse-time validation (malformed specs die
  * with a file:line diagnostic), provenance stamping into RunResult
  * JSON, byte-identical stdout across --jobs, knob flags setting what
- * the same spec keys set (and dying with the same messages), and
- * every committed spec under experiments/ parsing cleanly.
+ * the same spec keys set (and dying with the same messages), each
+ * knob setting only the fields it names, --policy joining every
+ * point's conflict checks, and every committed spec under
+ * experiments/ parsing cleanly.
  */
 
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -190,6 +194,27 @@ TEST(SpecParseDeath, MalformedSpecsDieWithLocation)
                      {"name": "p", "set": {"variant": "traditional",
                                            "enable-replacing": false}}]})"),
                  "\"enable-replacing\" requires the forkpath policy");
+    // A key that "variant" sets anew, placed before it in one set
+    // (a point's keys and its grid combination form one set).
+    EXPECT_DEATH(parseSpecText("{\"name\": \"x\", \"points\": [\n"
+                               " {\"name\": \"p\", \"set\":\n"
+                               "  {\"queue\": 16, \"variant\": \"merge\"}}]}",
+                               "order.json"),
+                 "order.json:3: \"queue\" comes before \"variant\".*put "
+                 "\"variant\" first");
+    EXPECT_DEATH(parseSpecText(R"({"name": "x", "points": [
+                     {"name": "p",
+                      "set": {"variant": "mac", "cache-bytes": 4096}}],
+                     "grid": {"variant": ["mac", "treetop"]}})"),
+                 "\"cache-bytes\" comes before \"variant\"");
+    // "policy" sets the policy alone, so it is a scheduler knob on the
+    // insecure baseline like any other.
+    EXPECT_DEATH(parseSpecText(R"({"name": "x", "base":
+                     {"variant": "insecure", "policy": "batched"}})"),
+                 "\"policy\" conflicts with the insecure baseline");
+    EXPECT_DEATH(parseSpecText(R"({"name": "x", "base":
+                     {"policy": "batched", "variant": "insecure"}})"),
+                 "put \"variant\" first");
     // Unknown mix name.
     EXPECT_DEATH(parseSpecText(
                      R"({"name": "x", "mixes": ["Mix99"]})"),
@@ -236,12 +261,23 @@ TEST(Scenario, ContextHonorsCliOverridesAndQuick)
         EXPECT_EQ(ctx.base.controller.oram.leafLevel, 12u);
     }
     {
-        // --quick applies after the explicit run-shape flags.
-        Args args({"--quick", "--requests=77", "--leaf-level=12"});
+        Args args({"--quick"});
         auto cli = args.cli();
         ScenarioContext ctx(spec, cli);
         EXPECT_EQ(ctx.base.requestsPerCore, 150u);
         EXPECT_EQ(ctx.base.controller.oram.leafLevel, 14u);
+    }
+    // --quick sets the run shape itself, so an explicit one is fatal
+    // rather than silently overridden.
+    const std::pair<const char *, const char *> shapes[] = {
+        {"--requests=77", "--requests"},
+        {"--leaf-level=12", "--leaf-level"}};
+    for (const auto &[flag, name] : shapes) {
+        Args args({"--quick", flag});
+        auto cli = args.cli();
+        EXPECT_EXIT(ScenarioContext(spec, cli),
+                    testing::ExitedWithCode(1),
+                    std::string("--quick conflicts with ") + name);
     }
     {
         Args args({"--mixes=Mix1,Mix2"});
@@ -511,6 +547,115 @@ TEST(ScenarioDeath, RejectedKnobFlagsUseTheTableMessage)
     EXPECT_EXIT(specWithBase(R"("fault-outage": "100:200")"),
                 testing::ExitedWithCode(1),
                 "\"fault-outage\": expected a two-number array");
+}
+
+/**
+ * The sweep scenario's CSV rows for @p spec under @p flags, keyed by
+ * point name, each without its name cell.
+ */
+std::map<std::string, std::string>
+sweepRows(const ExperimentSpec &spec, std::vector<std::string> flags)
+{
+    flags.insert(flags.end(), {"--csv", "--jobs=1"});
+    Args args(flags);
+    auto cli = args.cli();
+    testing::internal::CaptureStdout();
+    EXPECT_EQ(runSpec(spec, cli), 0);
+    std::istringstream out(testing::internal::GetCapturedStdout());
+    std::map<std::string, std::string> rows;
+    std::string line;
+    std::getline(out, line); // the header
+    while (std::getline(out, line) && !line.empty()) {
+        // A name with a comma in it is quoted.
+        const bool quoted = line[0] == '"';
+        const std::size_t end = quoted ? line.find('"', 1) + 1
+                                       : line.find(',');
+        rows[line.substr(quoted, end - 2 * quoted)] =
+            line.substr(end + 1);
+    }
+    return rows;
+}
+
+/** Two merge points, with replacing off and on. */
+constexpr char kReplacingSpec[] = R"({
+  "name": "unit", "scenario": "sweep", "mixes": ["Mix1"],
+  "base": {"requests": 80, "leaf-level": 18},
+  "points": [
+    {"name": "off", "set": {"variant": "merge", "enable-replacing": false}},
+    {"name": "on", "set": {"variant": "merge", "enable-replacing": true}}]
+})";
+
+TEST(Scenario, PolicyFlagSetsOnlyThePolicy)
+{
+    // Under --policy, a queue grid over a merge and a MAC point keeps
+    // each point's queue size and cache: four different rows.
+    const auto spec = parseSpecText(R"({
+      "name": "unit", "scenario": "sweep", "mixes": ["Mix3"],
+      "base": {"requests": 40, "leaf-level": 10},
+      "points": [{"name": "merge", "set": {"variant": "merge"}},
+                 {"name": "mac", "set": {"variant": "mac"}}],
+      "grid": {"queue": [16, 64]}
+    })");
+    const auto rows = sweepRows(spec, {"--policy=batched"});
+    ASSERT_EQ(rows.size(), 4u);
+    std::set<std::string> distinct;
+    for (const auto &[name, row] : rows)
+        distinct.insert(row);
+    EXPECT_EQ(distinct.size(), 4u);
+
+    Args args({"--policy=batched"});
+    auto cli = args.cli();
+    const ScenarioContext ctx(spec, cli);
+    const SimConfig mac = ctx.pointConfig(spec.points[1]);
+    EXPECT_EQ(mac.controller.policy, core::PolicyKind::batched);
+    EXPECT_EQ(mac.controller.cachePolicy, core::CachePolicy::mac);
+
+    // --policy=forkpath keeps a point's replacing switch.
+    const auto replacing =
+        sweepRows(parseSpecText(kReplacingSpec), {"--policy=forkpath"});
+    ASSERT_EQ(replacing.size(), 2u);
+    EXPECT_NE(replacing.at("off"), replacing.at("on"));
+}
+
+TEST(ScenarioDeath, PolicyFlagJoinsEachPointsConflictChecks)
+{
+    // A point's keys and the scheduler flags form one set, so a
+    // conflict the flag creates is fatal, naming the key and the flag.
+    auto run = [](const char *text, const char *flag) {
+        const auto spec = parseSpecText(text);
+        Args args({flag, "--csv", "--jobs=1"});
+        auto cli = args.cli();
+        runSpec(spec, cli);
+    };
+    EXPECT_EXIT(run(kReplacingSpec, "--policy=batched"),
+                testing::ExitedWithCode(1),
+                "\"enable-replacing\" requires the forkpath policy, not "
+                "--policy=batched");
+    EXPECT_EXIT(run(R"({
+                  "name": "unit", "scenario": "sweep", "mixes": ["Mix3"],
+                  "base": {"requests": 40, "leaf-level": 10},
+                  "points": [
+                    {"name": "b2",
+                     "set": {"policy": "batched", "batch-size": 2}},
+                    {"name": "b16",
+                     "set": {"policy": "batched", "batch-size": 16}}]
+                })",
+                    "--policy=traditional"),
+                testing::ExitedWithCode(1),
+                "\"batch-size\" requires the batched policy, not "
+                "--policy=traditional");
+}
+
+TEST(Scenario, ChannelsKeepThePagePolicy)
+{
+    for (const char *set : {R"("page-policy": "closed", "channels": 1)",
+                            R"("channels": 1, "page-policy": "closed")"}) {
+        SimConfig cfg = SimConfig::paperDefault();
+        const auto spec = specWithBase(set);
+        applySpecOverrides(cfg, spec.base, spec.source, spec.params);
+        EXPECT_EQ(cfg.dram.org.channels, 1u) << set;
+        EXPECT_EQ(cfg.dram.pagePolicy, dram::PagePolicy::closed) << set;
+    }
 }
 
 TEST(Scenario, CommittedSpecsParseAndCoverScenarios)
